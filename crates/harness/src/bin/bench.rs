@@ -15,12 +15,13 @@
 //! mismatch would mean parallel execution changed simulation behaviour.
 
 use faultline::InvariantChecker;
+use harness::cli::Args;
 use harness::{run_batch, WallClock};
 use netstack::{
     topology, FlowSpec, IndexKind, MobilitySpec, SimConfig, Simulator, TcpVariant, TopologySpec,
 };
 use phy::Channel;
-use sim_core::{DriverQueue, RunPerf, SchedulerKind, SimDuration, SimRng, SimTime};
+use sim_core::{RunPerf, SimDuration, SimRng, SimTime};
 use tracelog::TraceLog;
 use wire::NodeId;
 
@@ -63,81 +64,6 @@ fn chain_hash_run(cfg: SimConfig, duration: SimDuration, traced: bool) -> (u64, 
     sim.run_until(SimTime::ZERO + duration);
     let kept = sim.trace_log().map_or(0, tracelog::TraceLog::len);
     (sim.trace_hash(), kept)
-}
-
-/// The classic hold model for scheduler microbenchmarks: keep the queue at
-/// a steady size and repeatedly pop the earliest event, pushing a
-/// replacement at `now + draw`. The increment distribution decides which
-/// access pattern the queue sees.
-#[derive(Clone, Copy, Debug)]
-enum HoldDist {
-    /// Uniform increments — the calendar queue's best case.
-    Uniform,
-    /// 90% near-immediate, 10% far — MAC-timer-like burstiness.
-    Bursty,
-    /// Mostly short with rare multi-second outliers — retransmission-timer
-    /// tails that force lap scans / direct search in the calendar.
-    FarFuture,
-}
-
-impl HoldDist {
-    fn name(self) -> &'static str {
-        match self {
-            HoldDist::Uniform => "uniform",
-            HoldDist::Bursty => "bursty",
-            HoldDist::FarFuture => "far_future",
-        }
-    }
-
-    fn draw(self, rng: &mut SimRng) -> SimDuration {
-        match self {
-            HoldDist::Uniform => SimDuration::from_nanos(u64::from(rng.below(1_000_000))),
-            HoldDist::Bursty => {
-                if rng.chance(0.9) {
-                    SimDuration::from_nanos(u64::from(rng.below(10_000)))
-                } else {
-                    SimDuration::from_nanos(u64::from(rng.below(50_000_000)))
-                }
-            }
-            HoldDist::FarFuture => {
-                if rng.chance(0.99) {
-                    SimDuration::from_nanos(u64::from(rng.below(1_000_000)))
-                } else {
-                    SimDuration::from_secs(1 + u64::from(rng.below(4)))
-                }
-            }
-        }
-    }
-}
-
-/// Hold-model ops/sec for one scheduler at one distribution. Both
-/// schedulers see the identical seeded increment stream.
-fn hold_ops_per_sec(kind: SchedulerKind, dist: HoldDist, size: usize, ops: usize) -> f64 {
-    let mut rng = SimRng::new(0x686f6c64); // "hold"
-    let mut queue = DriverQueue::new(kind);
-    for i in 0..size {
-        queue.push(SimTime::ZERO + dist.draw(&mut rng), i as u64);
-    }
-    let clock = WallClock::start();
-    for i in 0..ops {
-        let (now, _) = queue.pop().expect("hold model keeps the queue non-empty");
-        queue.push(now + dist.draw(&mut rng), i as u64);
-    }
-    ops as f64 / clock.elapsed_secs().max(1e-9)
-}
-
-/// End-to-end run of the 8-hop chain under one scheduler: returns the
-/// trace digest (asserted identical across schedulers), the perf counters
-/// and the serial wall time.
-fn chain_sched_run(kind: SchedulerKind, duration: SimDuration) -> (u64, RunPerf, f64) {
-    let cfg = SimConfig { seed: 11, scheduler: kind, ..SimConfig::default() };
-    let clock = WallClock::start();
-    let mut sim = Simulator::new(topology::chain(8), cfg);
-    let (src, dst) = topology::chain_flow(8);
-    sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-    sim.run_until(SimTime::ZERO + duration);
-    let secs = clock.elapsed_secs();
-    (sim.trace_hash(), sim.perf(), secs)
 }
 
 /// Runs the 8-hop chain, optionally taking a full simulator snapshot every
@@ -228,42 +154,6 @@ fn move_cost_ns(n: u16, index: IndexKind, moves: usize) -> f64 {
     clock.elapsed_secs() * 1e9 / moves as f64
 }
 
-/// One conservative-PDES scaling run: a city-blocks street grid under full
-/// random-waypoint mobility with `flows` Muzha flows, executed by the
-/// requested scheduler. Returns the trace digest (asserted identical across
-/// shard counts — the speed-up claim is only meaningful because the event
-/// streams are bit-identical), the perf counters, and the wall time.
-fn pdes_scale_run(
-    spec: TopologySpec,
-    scheduler: SchedulerKind,
-    shards: usize,
-    secs: u64,
-) -> (u64, RunPerf, f64) {
-    let cfg = SimConfig {
-        topology: spec,
-        mobility: MobilitySpec::DEFAULT_WAYPOINT,
-        scheduler,
-        shards,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::from_config(cfg);
-    let count = spec.node_count();
-    let flows = (count / 100).max(1);
-    for k in 0..flows {
-        let a = k * count / flows;
-        let b = (a + count / 2) % count;
-        sim.add_flow(FlowSpec::new(
-            NodeId::new(a as u16),
-            NodeId::new(b as u16),
-            TcpVariant::Muzha,
-        ));
-    }
-    let clock = WallClock::start();
-    sim.run_until(SimTime::from_secs_f64(secs as f64));
-    let wall = clock.elapsed_secs();
-    (sim.trace_hash(), sim.perf(), wall)
-}
-
 /// Extracts `"key": <number>` from hand-rolled JSON text (enough for the
 /// baseline file this binary writes itself).
 fn json_number(text: &str, key: &str) -> Option<f64> {
@@ -283,10 +173,10 @@ fn json_number_in(text: &str, block: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = parse_flag(&args, "--jobs").map_or(0, |v| v.parse().expect("--jobs number"));
-    let out = parse_flag(&args, "--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
+    let args = Args::from_env();
+    let quick = args.has("--quick");
+    let jobs: usize = args.number("--jobs").unwrap_or(0);
+    let out = args.value("--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
 
     let (seeds, secs): (Vec<u64>, u64) =
         if quick { (vec![11, 23], 5) } else { (vec![11, 23, 37, 53], 15) };
@@ -445,69 +335,6 @@ fn main() {
         (ck_secs - plain_secs).max(0.0) * 1e9 / ck_events.max(1) as f64,
     );
 
-    // Scheduler comparison: hold-model microbenchmarks over both queue
-    // implementations, then an end-to-end chain run per scheduler with the
-    // trace digests asserted identical — the perf claim is only meaningful
-    // because the event streams are bit-identical.
-    eprintln!("benchmarking schedulers (hold model + chain8 end-to-end)...");
-    let (hold_size, hold_ops) = if quick { (2_000, 200_000) } else { (10_000, 2_000_000) };
-    let mut hold_entries = Vec::new();
-    for dist in [HoldDist::Uniform, HoldDist::Bursty, HoldDist::FarFuture] {
-        let calendar = hold_ops_per_sec(SchedulerKind::Calendar, dist, hold_size, hold_ops);
-        let heap = hold_ops_per_sec(SchedulerKind::Heap, dist, hold_size, hold_ops);
-        hold_entries.push(format!(
-            concat!(
-                "      {{\"dist\": \"{}\", \"queue_size\": {}, ",
-                "\"ops_per_sec_calendar\": {:.1}, \"ops_per_sec_heap\": {:.1}, ",
-                "\"calendar_speedup\": {:.3}}}"
-            ),
-            dist.name(),
-            hold_size,
-            calendar,
-            heap,
-            calendar / heap.max(1e-9),
-        ));
-    }
-    let sched_duration = SimDuration::from_secs(secs);
-    let (cal_hash, cal_perf, cal_secs) = chain_sched_run(SchedulerKind::Calendar, sched_duration);
-    let (heap_hash, heap_perf, heap_secs) = chain_sched_run(SchedulerKind::Heap, sched_duration);
-    assert_eq!(cal_hash, heap_hash, "schedulers must replay identical event streams");
-    assert_eq!(cal_perf.events_processed, heap_perf.events_processed);
-    let eps_calendar = cal_perf.events_processed as f64 / cal_secs.max(1e-9);
-    let eps_heap = heap_perf.events_processed as f64 / heap_secs.max(1e-9);
-    let scheduler_block = format!(
-        concat!(
-            "  \"scheduler\": {{\n",
-            "    \"hold\": [\n{}\n    ],\n",
-            "    \"end_to_end\": {{\n",
-            "      \"scenario\": \"chain8_muzha\",\n",
-            "      \"virtual_secs\": {},\n",
-            "      \"trace_hash_match\": true,\n",
-            "      \"events_per_sec_calendar\": {:.1},\n",
-            "      \"events_per_sec_heap\": {:.1},\n",
-            "      \"calendar_speedup\": {:.3},\n",
-            "      \"peak_event_queue\": {},\n",
-            "      \"timers_cancelled\": {},\n",
-            "      \"timers_stale_popped\": {}\n",
-            "    }}\n",
-            "  }}"
-        ),
-        hold_entries.join(",\n"),
-        secs,
-        eps_calendar,
-        eps_heap,
-        eps_calendar / eps_heap.max(1e-9),
-        cal_perf.peak_event_queue,
-        cal_perf.timers_cancelled,
-        cal_perf.timers_stale_popped,
-    );
-    if eps_calendar < eps_heap {
-        println!(
-            "::warning title=scheduler perf::calendar queue slower than heap \
-             ({eps_calendar:.0} vs {eps_heap:.0} events/sec)"
-        );
-    }
-
     // Topology-scaling curve: config-built random-disc placements under
     // full random-waypoint mobility, with the invariant checker riding
     // along (the ledger must balance at every size), plus a per-move
@@ -545,69 +372,13 @@ fn main() {
     }
     let topo_block = format!("  \"topo_scale\": {{\n{}\n  }}", topo_lines.join(",\n"));
 
-    // Conservative-PDES scaling: a city-blocks street grid under full
-    // waypoint mobility, executed serially (calendar queue) and by the
-    // sharded scheduler at 1/2/4 shards. Pop order is identical by
-    // construction, so every digest must match the serial one; the
-    // events/sec trajectory per shard count is the number CI watches. On a
-    // single-core host the sharded driver plans inline (no threads), so
-    // these numbers then measure pure sharding overhead, not speed-up —
-    // `host_cores` is recorded so the reader can tell which.
-    let (pdes_spec, pdes_secs) = if quick {
-        // 19×19 blocks → 20×20 = 400 intersections.
-        (TopologySpec::CityBlocks { blocks_x: 19, blocks_y: 19, extra: 0 }, 5)
-    } else {
-        // 30×30 blocks → 31×31 = 961 intersections + 39 mid-street = 1000.
-        (TopologySpec::CityBlocks { blocks_x: 30, blocks_y: 30, extra: 39 }, 10)
-    };
-    let pdes_nodes = pdes_spec.node_count();
-    eprintln!("benchmarking pdes_scale (city n={pdes_nodes}, {pdes_secs} s, shards 1/2/4)...");
-    let (pdes_hash, pdes_perf, pdes_serial_secs) =
-        pdes_scale_run(pdes_spec, SchedulerKind::Calendar, 1, pdes_secs);
-    let mut pdes_lines = vec![format!(
-        concat!(
-            "    \"scenario\": \"city_waypoint\",\n",
-            "    \"nodes\": {},\n",
-            "    \"virtual_secs\": {},\n",
-            "    \"host_cores\": {},\n",
-            "    \"events_processed\": {},\n",
-            "    \"events_per_sec_serial\": {:.1}"
-        ),
-        pdes_nodes,
-        pdes_secs,
-        host_cores,
-        pdes_perf.events_processed,
-        pdes_perf.events_processed as f64 / pdes_serial_secs.max(1e-9),
-    )];
-    for nshards in [1usize, 2, 4] {
-        let (hash, perf, wall) =
-            pdes_scale_run(pdes_spec, SchedulerKind::Sharded, nshards, pdes_secs);
-        assert_eq!(
-            hash, pdes_hash,
-            "pdes_scale: sharded run ({nshards} shards) diverged from serial"
-        );
-        assert_eq!(perf, pdes_perf, "pdes_scale: merged counters diverged at {nshards} shards");
-        pdes_lines.push(format!(
-            concat!(
-                "    \"events_per_sec_shards_{n}\": {:.1},\n",
-                "    \"sharded_speedup_{n}\": {:.3}"
-            ),
-            perf.events_processed as f64 / wall.max(1e-9),
-            pdes_serial_secs / wall.max(1e-9),
-            n = nshards,
-        ));
-    }
-    let pdes_block = format!("  \"pdes_scale\": {{\n{}\n  }}", pdes_lines.join(",\n"));
-
     let json = format!(
-        "{{\n  \"bench\": \"sim\",\n  \"quick\": {},\n  \"scenarios\": [\n{}\n  ],\n{},\n{},\n{},\n{},\n{}\n}}\n",
+        "{{\n  \"bench\": \"sim\",\n  \"quick\": {},\n  \"scenarios\": [\n{}\n  ],\n{},\n{},\n{}\n}}\n",
         quick,
         entries.join(",\n"),
         trace_overhead,
         snapshot_overhead,
-        scheduler_block,
         topo_block,
-        pdes_block,
     );
 
     // Soft regression gate against the committed baseline: every watched
@@ -616,11 +387,9 @@ fn main() {
     // numbers on shared runners are advisory. Throughputs may drop at most
     // 20%; overhead ratios may grow at most 25%.
     let baseline_path =
-        parse_flag(&args, "--baseline").unwrap_or_else(|| "BENCH_baseline.json".to_string());
+        args.value("--baseline").unwrap_or_else(|| "BENCH_baseline.json".to_string());
     if let Ok(baseline) = std::fs::read_to_string(&baseline_path) {
         let watched = [
-            ("scheduler", "events_per_sec_calendar", true),
-            ("scheduler", "events_per_sec_heap", true),
             ("trace_overhead", "overhead_ratio", false),
             ("snapshot_overhead", "overhead_ratio", false),
             ("topo_scale", "events_per_sec_25", true),
@@ -628,25 +397,8 @@ fn main() {
             ("topo_scale", "events_per_sec_1000", true),
             ("topo_scale", "move_cost_ns_grid_100", false),
             ("topo_scale", "move_cost_ns_grid_1000", false),
-            ("pdes_scale", "events_per_sec_serial", true),
-            ("pdes_scale", "events_per_sec_shards_1", true),
-            ("pdes_scale", "events_per_sec_shards_2", true),
-            ("pdes_scale", "events_per_sec_shards_4", true),
         ];
-        // `pdes_scale` reuses one set of key names across the quick (400
-        // node) and full (1000 node) city, so only compare runs of the
-        // same size — a 1000-node events/s figure against a 400-node
-        // baseline is a workload change, not a regression.
-        let pdes_comparable = json_number_in(&baseline, "pdes_scale", "nodes")
-            == json_number_in(&json, "pdes_scale", "nodes");
         for (block, key, higher_is_better) in watched {
-            if block == "pdes_scale" && !pdes_comparable {
-                eprintln!(
-                    "baseline check skipped: {block}.{key} measured on a different city size \
-                     than {baseline_path}"
-                );
-                continue;
-            }
             let (Some(base), Some(now)) =
                 (json_number_in(&baseline, block, key), json_number_in(&json, block, key))
             else {
@@ -667,19 +419,4 @@ fn main() {
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("{json}");
     println!("wrote {out}");
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
 }

@@ -19,21 +19,22 @@
 //! same perf counters (the twin test `tests/snapshot_twin.rs` pins this
 //! over the whole corpus). Both subcommands print the final trace hash so
 //! straight and resumed legs can be compared from the shell. Exit codes:
-//! 0 on success, 1 on usage errors, 2 when a snapshot fails to restore.
+//! 0 on success, 1 on usage errors, 2 when a flag lacks its value or a
+//! number does not parse, or when a snapshot fails to restore.
 
 use std::fs;
 
 use faultline::ScenarioScript;
+use harness::cli::Args;
 use harness::mc::{corpus_duration, corpus_sim};
 use sim_core::{SimDuration, SimTime};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(mode) = args.first().map(String::as_str) else {
+    let args = Args::from_env();
+    let Some(mode) = args.first() else {
         usage("missing subcommand");
     };
-    let script_path =
-        parse_flag(&args, "--script").unwrap_or_else(|| usage("--script is required"));
+    let script_path = args.value("--script").unwrap_or_else(|| usage("--script is required"));
     let text = fs::read_to_string(&script_path)
         .unwrap_or_else(|e| fail(&format!("read {script_path}: {e}")));
     let script =
@@ -49,15 +50,14 @@ fn main() {
 
 /// `snapshot`: run to `--at` and write one snapshot, or sweep
 /// `--checkpoint-every` writing one file per checkpoint instant.
-fn snapshot(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
+fn snapshot(script: &ScenarioScript, duration: SimDuration, args: &Args) {
     let mut sim = corpus_sim(script);
-    if let Some(every) = parse_flag(args, "--checkpoint-every") {
-        let every: f64 =
-            every.parse().unwrap_or_else(|_| usage("--checkpoint-every wants seconds"));
+    if let Some(every) = args.number::<f64>("--checkpoint-every") {
         if every.is_nan() || every <= 0.0 {
             usage("--checkpoint-every must be positive");
         }
-        let out_dir = parse_flag(args, "--out-dir")
+        let out_dir = args
+            .value("--out-dir")
             .unwrap_or_else(|| usage("--out-dir is required with --checkpoint-every"));
         fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(&format!("mkdir {out_dir}: {e}")));
         let step = SimDuration::from_secs_f64(every);
@@ -85,10 +85,10 @@ fn snapshot(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
             sim.trace_hash()
         );
     } else {
-        let at = parse_flag(args, "--at")
+        let at: f64 = args
+            .number("--at")
             .unwrap_or_else(|| usage("snapshot wants --at SECS or --checkpoint-every SECS"));
-        let at: f64 = at.parse().unwrap_or_else(|_| usage("--at wants seconds"));
-        let out = parse_flag(args, "--out").unwrap_or_else(|| usage("--out PATH is required"));
+        let out = args.value("--out").unwrap_or_else(|| usage("--out PATH is required"));
         sim.run_until(SimTime::from_secs_f64(at));
         let bytes = sim.snapshot();
         fs::write(&out, &bytes).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
@@ -104,13 +104,11 @@ fn snapshot(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
 
 /// `resume`: restore `--from` into a freshly built convention simulator and
 /// run to the script's duration (or `--until`).
-fn resume(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
-    let from = parse_flag(args, "--from").unwrap_or_else(|| usage("resume wants --from PATH"));
+fn resume(script: &ScenarioScript, duration: SimDuration, args: &Args) {
+    let from = args.value("--from").unwrap_or_else(|| usage("resume wants --from PATH"));
     let bytes = fs::read(&from).unwrap_or_else(|e| fail(&format!("read {from}: {e}")));
-    let end = match parse_flag(args, "--until") {
-        Some(v) => {
-            SimTime::from_secs_f64(v.parse().unwrap_or_else(|_| usage("--until wants seconds")))
-        }
+    let end = match args.number("--until") {
+        Some(secs) => SimTime::from_secs_f64(secs),
         None => SimTime::ZERO + duration,
     };
     let mut sim = corpus_sim(script);
@@ -143,19 +141,4 @@ fn usage(msg: &str) -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("checkpoint: {msg}");
     std::process::exit(1);
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
 }

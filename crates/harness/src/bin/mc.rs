@@ -26,47 +26,40 @@
 //! The verdict block goes to stdout. On a violation the counter-example's
 //! decision vector and a flight-recorder dump of the lead-up window are
 //! printed, and the exit code is 2; a truncated (non-exhaustive) clean
-//! search exits 3; a proof exits 0.
+//! search exits 3; a proof exits 0. A missing or malformed flag also
+//! exits 2, after a one-line message on stderr and before any search.
 
 use faultline::mc::McConfig;
 use faultline::ScenarioScript;
+use harness::cli::Args;
 use harness::mc::{explore_scenario, explore_scenario_resumed, flight_recorder_dump};
 use sim_core::SimTime;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let script_path = parse_flag(&args, "--script").expect("--script PATH.scn is required");
+    let args = Args::from_env();
+    let script_path = args.required("--script");
     let text =
         std::fs::read_to_string(&script_path).unwrap_or_else(|e| panic!("read {script_path}: {e}"));
     let script =
         ScenarioScript::parse(&text).unwrap_or_else(|e| panic!("parse {script_path}: {e}"));
 
-    let mut cfg = McConfig::default();
-    if let Some(window) = parse_flag(&args, "--tie-window") {
-        let (start, end) = window
-            .split_once(':')
-            .unwrap_or_else(|| panic!("--tie-window wants START:END seconds, got {window:?}"));
-        let start: f64 = start.parse().expect("--tie-window start seconds");
-        let end: f64 = end.parse().expect("--tie-window end seconds");
-        assert!(start <= end, "--tie-window start must not exceed end");
-        cfg.tie_window = Some((SimTime::from_secs_f64(start), SimTime::from_secs_f64(end)));
+    let mut cfg =
+        McConfig { tie_window: args.parsed("--tie-window", parse_window), ..McConfig::default() };
+    if let Some(n) = args.number("--max-branches") {
+        cfg.max_branches = n;
     }
-    if let Some(v) = parse_flag(&args, "--max-branches") {
-        cfg.max_branches = v.parse().expect("--max-branches number");
+    if let Some(n) = args.number("--max-depth") {
+        cfg.max_depth = n;
     }
-    if let Some(v) = parse_flag(&args, "--max-depth") {
-        cfg.max_depth = v.parse().expect("--max-depth number");
-    }
-    if let Some(v) = parse_flag(&args, "--shift-window") {
-        let secs: f64 = v.parse().expect("--shift-window seconds");
+    if let Some(secs) = args.number("--shift-window") {
         cfg.shift_window_ns = sim_core::SimDuration::from_secs_f64(secs).as_nanos();
     }
-    if let Some(v) = parse_flag(&args, "--shift-steps") {
-        cfg.shift_steps = v.parse().expect("--shift-steps number");
+    if let Some(n) = args.number("--shift-steps") {
+        cfg.shift_steps = n;
     }
-    let report = parse_flag(&args, "--report");
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let resume = args.iter().any(|a| a == "--resume");
+    let report = args.value("--report");
+    let quiet = args.has("--quiet");
+    let resume = args.has("--resume");
     assert!(
         !resume || cfg.tie_window.is_some(),
         "--resume needs --tie-window: the checkpoint sits at the window start"
@@ -128,17 +121,14 @@ fn main() {
     });
 }
 
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
+/// Parses a `START:END` window in virtual seconds.
+fn parse_window(text: &str) -> Result<(SimTime, SimTime), String> {
+    let (start, end) =
+        text.split_once(':').ok_or_else(|| format!("wants START:END seconds, got {text:?}"))?;
+    let secs = |v: &str| v.parse::<f64>().map_err(|_| format!("{v:?} is not a number of seconds"));
+    let (start, end) = (secs(start)?, secs(end)?);
+    if start.is_nan() || end.is_nan() || start > end {
+        return Err(format!("start {start} must not exceed end {end}"));
     }
-    None
+    Ok((SimTime::from_secs_f64(start), SimTime::from_secs_f64(end)))
 }

@@ -5,7 +5,7 @@
 //! ```sh
 //! cargo run --release -p harness --bin trace -- \
 //!     [--hops N] [--variant NAME] [--secs S] [--seed S] [--quick] \
-//!     [--topology SPEC] [--mobility SPEC] [--shards N] \
+//!     [--topology SPEC] [--mobility SPEC] \
 //!     [--format ns2|pcap|csv] [--follow-flow F] [--last N] [--out PATH]
 //! ```
 //!
@@ -19,9 +19,8 @@
 //! `city-blocks:4x4@16`) swaps the chain for a generated topology, with
 //! one flow between the two most-separated nodes; `--mobility SPEC`
 //! (`static`, `waypoint`, `waypoint:1-20@30`) sets every node roaming.
-//! `--shards N` (N > 1) captures under the conservative sharded scheduler;
-//! the emitted trace is bit-identical to a serial capture by construction.
 
+use harness::cli::Args;
 use harness::tracecap::{self, TraceFormat};
 use netstack::{MobilitySpec, SimConfig, TcpVariant, TopologySpec};
 use sim_core::SimDuration;
@@ -29,37 +28,25 @@ use tracelog::{TraceEntry, TraceFilter};
 use wire::FlowId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let args = Args::from_env();
+    let quick = args.has("--quick");
 
-    let hops: usize = parse_flag(&args, "--hops").map_or(4, |v| v.parse().expect("--hops number"));
-    let variant = parse_flag(&args, "--variant").map_or(TcpVariant::Muzha, |v| {
-        tracecap::variant_by_name(&v)
-            .unwrap_or_else(|| panic!("unknown variant {v:?}; known: {:?}", TcpVariant::ALL))
-    });
-    let secs: u64 = parse_flag(&args, "--secs")
-        .map_or(if quick { 2 } else { 10 }, |v| v.parse().expect("--secs number"));
-    let seed: Option<u64> = parse_flag(&args, "--seed").map(|v| v.parse().expect("--seed number"));
-    let format = parse_flag(&args, "--format").map_or(TraceFormat::Ns2, |v| {
-        TraceFormat::parse(&v).unwrap_or_else(|| panic!("unknown format {v:?}; want ns2|pcap|csv"))
-    });
-    let follow: Option<FlowId> = parse_flag(&args, "--follow-flow")
-        .map(|v| FlowId::new(v.parse().expect("--follow-flow number")));
-    let last: Option<usize> =
-        parse_flag(&args, "--last").map(|v| v.parse().expect("--last number"));
-    let out = parse_flag(&args, "--out");
-    let topology: Option<TopologySpec> = parse_flag(&args, "--topology")
-        .map(|v| TopologySpec::parse(&v).unwrap_or_else(|e| panic!("--topology: {e}")));
-    let mobility: Option<MobilitySpec> = parse_flag(&args, "--mobility")
-        .map(|v| MobilitySpec::parse(&v).unwrap_or_else(|e| panic!("--mobility: {e}")));
-    let shards: usize =
-        parse_flag(&args, "--shards").map_or(1, |v| v.parse().expect("--shards number"));
+    let hops: usize = args.number("--hops").unwrap_or(4);
+    let variant = args.parsed("--variant", tracecap::parse_variant).unwrap_or(TcpVariant::Muzha);
+    let secs: u64 = args.number("--secs").unwrap_or(if quick { 2 } else { 10 });
+    let seed: Option<u64> = args.number("--seed");
+    let format = args
+        .parsed("--format", |v| {
+            TraceFormat::parse(v).ok_or_else(|| format!("unknown format {v:?}; want ns2|pcap|csv"))
+        })
+        .unwrap_or(TraceFormat::Ns2);
+    let follow: Option<FlowId> = args.number("--follow-flow").map(FlowId::new);
+    let last: Option<usize> = args.number("--last");
+    let out = args.value("--out");
+    let topology = args.parsed("--topology", TopologySpec::parse);
+    let mobility = args.parsed("--mobility", MobilitySpec::parse);
 
     let mut cfg = SimConfig::default();
-    if shards > 1 {
-        cfg.scheduler = sim_core::SchedulerKind::Sharded;
-        cfg.shards = shards;
-    }
     if let Some(seed) = seed {
         cfg.seed = seed;
     }
@@ -104,19 +91,4 @@ fn main() {
             let _ = std::io::stdout().write_all(&bytes);
         }
     }
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
 }

@@ -51,8 +51,15 @@ impl TraceFormat {
 }
 
 /// Looks a [`TcpVariant`] up by its display name, case-insensitively.
-pub fn variant_by_name(name: &str) -> Option<TcpVariant> {
-    TcpVariant::ALL.into_iter().find(|v| v.name().eq_ignore_ascii_case(name))
+///
+/// # Errors
+///
+/// A message listing the known names when `name` matches none.
+pub fn parse_variant(name: &str) -> Result<TcpVariant, String> {
+    TcpVariant::ALL
+        .into_iter()
+        .find(|v| v.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown variant {name:?}; known: {:?}", TcpVariant::ALL))
 }
 
 /// Runs a single-flow `hops`-hop chain with a trace log installed and
@@ -232,8 +239,8 @@ mod tests {
         assert_eq!(TraceFormat::parse("csv"), Some(TraceFormat::Csv));
         assert_eq!(TraceFormat::parse("json"), None);
         assert!(TraceFormat::Pcap.is_binary() && !TraceFormat::Ns2.is_binary());
-        assert_eq!(variant_by_name("muzha"), Some(TcpVariant::Muzha));
-        assert_eq!(variant_by_name("newreno"), Some(TcpVariant::NewReno));
-        assert_eq!(variant_by_name("bogus"), None);
+        assert_eq!(parse_variant("muzha"), Ok(TcpVariant::Muzha));
+        assert_eq!(parse_variant("newreno"), Ok(TcpVariant::NewReno));
+        assert!(parse_variant("bogus").is_err());
     }
 }

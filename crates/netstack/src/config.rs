@@ -117,9 +117,8 @@ pub struct SimConfig {
     /// How often each node samples channel utilisation and queue length
     /// for its DRAI computer.
     pub sample_interval: SimDuration,
-    /// Which event-queue implementation drives the run. Both produce
-    /// bit-identical traces; the calendar queue is the fast default and
-    /// the binary heap remains as a differential reference.
+    /// Which event-queue implementation drives the run. There is one, the
+    /// `BinaryHeap` queue ([`SchedulerKind::Heap`]).
     pub scheduler: SchedulerKind,
     /// Initial node placement, regenerated deterministically from
     /// `(topology, seed)` by [`crate::Simulator::from_config`]. Ignored by
@@ -133,11 +132,6 @@ pub struct SimConfig {
     /// Both kinds produce bit-identical traces; the spatial grid is the
     /// fast default, brute-force remains as a differential reference.
     pub phy_index: IndexKind,
-    /// How many shards the [`SchedulerKind::Sharded`] driver partitions
-    /// nodes into (ignored by the serial drivers). Any shard count yields
-    /// a trace bit-identical to the serial schedulers; counts above 1 let
-    /// safe-window work run on worker threads.
-    pub shards: usize,
 }
 
 impl Default for SimConfig {
@@ -151,11 +145,10 @@ impl Default for SimConfig {
             queue: QueueDiscipline::DropTail,
             seed: 0x4d757a6861, // "Muzha"
             sample_interval: SimDuration::from_millis(50),
-            scheduler: SchedulerKind::Calendar,
+            scheduler: SchedulerKind::Heap,
             topology: TopologySpec::default(),
             mobility: MobilitySpec::default(),
             phy_index: IndexKind::default(),
-            shards: 1,
         }
     }
 }
@@ -189,11 +182,6 @@ impl SimConfig {
             );
         }
         assert!(self.ifq_capacity > 0, "IFQ capacity must be positive");
-        assert!(
-            self.shards >= 1 && self.shards <= sim_core::MAX_SHARDS,
-            "shard count must be in 1..={}",
-            sim_core::MAX_SHARDS
-        );
         assert_eq!(
             self.mac.data_rate_bps, self.radio.data_rate_bps,
             "MAC and PHY data rates must agree"

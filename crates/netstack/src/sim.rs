@@ -7,9 +7,8 @@ use aodv::{Aodv, AodvOutput, AodvTimer};
 use faultline::{CheckEvent, FaultEvent, InvariantChecker, ScenarioScript, TimedFault};
 use mac80211::{Mac, MacOutput, MediumView};
 use muzha::{MuzhaSender, RouterAgent};
-use phy::PendingMoves;
 use phy::{Channel, GeState, GilbertElliott, PhyState, Position, RxOutcome, TxId};
-use sim_core::{DriverQueue, SchedulerKind, SimRng, SimTime, TieClass, TieKind, TieOrder};
+use sim_core::{DriverQueue, SimRng, SimTime, TieClass, TieKind, TieOrder};
 use tcp::{
     DoorSender, RenoSender, SackSender, TcpOutput, TcpReceiver, TcpTimer, Transport, VegasSender,
     VenoSender, WestwoodSender,
@@ -282,7 +281,6 @@ pub struct Simulator {
     next_tx_id: u64,
     flows: Vec<FlowSpec>,
     movements: DetMap<NodeId, Movement>,
-    tracer: Option<Tracer>,
     trace_hash: TraceHash,
     /// Structured trace log fed from the same choke points as the checker
     /// and the trace hash. A pure observer: `None` costs one branch per
@@ -312,16 +310,6 @@ pub struct Simulator {
     scripted_down: DetSet<(NodeId, NodeId)>,
     /// Deterministic work counters for this run (virtual events only).
     perf: RunPerf,
-    /// Node → home shard under [`sim_core::SchedulerKind::Sharded`], built
-    /// once from the initial placement (column strips over the spatial
-    /// grid). Empty for the serial schedulers. A pure routing/attribution
-    /// hint: the merged pop order is identical for any assignment, so this
-    /// is derived state and not snapshotted.
-    shard_map: Vec<u8>,
-    /// Per-shard work counters under the sharded scheduler (one block per
-    /// shard, merged by [`Simulator::perf`]). Empty for serial runs, where
-    /// `perf` is written directly.
-    shard_perf: Vec<RunPerf>,
 }
 
 /// An active movement: the node heads toward `target` at `speed_mps`; when
@@ -331,37 +319,6 @@ struct Movement {
     target: phy::Position,
     speed_mps: f64,
     plan: MobilityPlan,
-}
-
-/// One pop-order slot of a sharded mobility batch (see
-/// [`Simulator::run_tick_batch`]). Formation records what each popped event
-/// turned into; the commit phase replays the slots in order.
-enum BatchSlot {
-    /// A gated-in tick with a staged move; `rank` indexes the pending-move
-    /// batch and its planned rows.
-    Move { rank: usize },
-    /// A popped event that consumed its slot without committing anything: a
-    /// tick gated off (paused node) or one whose movement was cancelled.
-    Skip { shard: usize },
-    /// The first non-batchable event popped. It terminates formation and is
-    /// dispatched serially after the batch commits — exactly where serial
-    /// execution would have run it.
-    Term { t: SimTime, shard: usize, event: Event },
-}
-
-/// Everything the parallel planner and the serial commit need for one
-/// staged move, computed serially at formation time from pre-batch state.
-/// Interpolation and arrival depend only on the mover's *own* position and
-/// movement — never on other nodes — and each node appears at most once per
-/// batch, so these values match what serial execution would compute at the
-/// same tick.
-struct MoveStep {
-    node: NodeId,
-    t: SimTime,
-    shard: usize,
-    arrived: bool,
-    new_pos: phy::Position,
-    movement: Movement,
 }
 
 /// What a node does when it reaches its current waypoint.
@@ -375,57 +332,6 @@ enum MobilityPlan {
     /// the current one completes (past-the-end means the script is done).
     Script { legs: Vec<WaypointLeg>, next: usize },
 }
-
-/// An observation delivered to a [`Simulator`] tracer (see
-/// [`Simulator::set_tracer`]). Borrowed data points into the simulator's
-/// internal state and is only valid during the callback.
-#[derive(Debug)]
-pub enum TraceEvent<'a> {
-    /// A MAC frame was put on the air by `node`.
-    FrameSent {
-        /// Transmitting node.
-        node: NodeId,
-        /// The frame.
-        frame: &'a MacFrame,
-    },
-    /// A reception finished at `node` with the given outcome.
-    FrameReceived {
-        /// Receiving node.
-        node: NodeId,
-        /// Original transmitter.
-        from: NodeId,
-        /// Frame kind.
-        kind: FrameKind,
-        /// Whether it decoded, collided, or was mere noise.
-        outcome: RxOutcome,
-    },
-    /// A TCP segment reached its final destination's transport layer.
-    SegmentDelivered {
-        /// Destination node.
-        node: NodeId,
-        /// The flow it belongs to.
-        flow: FlowId,
-        /// Data or ACK.
-        is_data: bool,
-    },
-    /// A packet was dropped by a full interface queue (congestion drop).
-    QueueDrop {
-        /// The congested node.
-        node: NodeId,
-        /// The dropped packet's uid.
-        uid: u64,
-    },
-    /// The MAC exhausted its retries toward `next_hop` (link failure).
-    LinkFailure {
-        /// The node that gave up.
-        node: NodeId,
-        /// The unreachable neighbour.
-        next_hop: NodeId,
-    },
-}
-
-/// A tracer callback: receives every [`TraceEvent`] with its virtual time.
-pub type Tracer = Box<dyn FnMut(SimTime, &TraceEvent<'_>)>;
 
 /// Parameters of the classic random-waypoint mobility model.
 #[derive(Clone, Copy, Debug)]
@@ -492,15 +398,6 @@ impl Simulator {
         cfg.validate();
         assert!(!positions.is_empty(), "need at least one node");
         let mut rng = SimRng::new(cfg.seed);
-        // Home-shard assignment for the sharded driver: column strips over
-        // the same cell geometry the PHY grid uses, frozen at construction
-        // so attribution never races mobility. Serial drivers skip it.
-        let shards = if cfg.scheduler == SchedulerKind::Sharded { cfg.shards.max(1) } else { 1 };
-        let shard_map = if cfg.scheduler == SchedulerKind::Sharded {
-            topo::ShardMap::build(shards, cfg.radio.cs_range_m, &positions).assignment().to_vec()
-        } else {
-            Vec::new()
-        };
         let channel = Channel::with_index(positions, cfg.radio, cfg.phy_index);
         let nodes = (0..channel.node_count())
             .map(|i| {
@@ -530,11 +427,8 @@ impl Simulator {
                 }
             })
             .collect();
-        let mut events = match cfg.scheduler {
-            SchedulerKind::Sharded => DriverQueue::new_sharded(shards),
-            kind => DriverQueue::new(kind),
-        };
-        events.push_routed(SimTime::ZERO + cfg.sample_interval, Event::Sample, 0);
+        let mut events = DriverQueue::new(cfg.scheduler);
+        events.push(SimTime::ZERO + cfg.sample_interval, Event::Sample);
         let node_count = channel.node_count();
         let mut sim = Simulator {
             cfg,
@@ -547,7 +441,6 @@ impl Simulator {
             flows: Vec::new(),
             movements: DetMap::new(),
             trace_hash: TraceHash::new(),
-            tracer: if std::env::var("SIM_TRACE").is_ok() { Some(stderr_tracer()) } else { None },
             log: None,
             checker: None,
             tie_order: None,
@@ -560,8 +453,6 @@ impl Simulator {
             saturated: DetMap::new(),
             scripted_down: DetSet::new(),
             perf: RunPerf::default(),
-            shard_map,
-            shard_perf: if shards > 1 { vec![RunPerf::default(); shards] } else { Vec::new() },
         };
         // Kick off HELLO beaconing if the AODV config asks for it.
         if cfg.aodv.hello_interval.is_some() {
@@ -603,27 +494,6 @@ impl Simulator {
         sim
     }
 
-    /// Installs an observation hook that is called for every frame
-    /// transmission/reception outcome, transport delivery, queue drop and
-    /// link failure, with the virtual time of the event. Replaces any
-    /// previously installed tracer (including the `SIM_TRACE=1` default
-    /// stderr tracer).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Removes the tracer.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-    }
-
-    #[inline]
-    fn trace(&mut self, event: TraceEvent<'_>) {
-        if let Some(tracer) = &mut self.tracer {
-            tracer(self.now, &event);
-        }
-    }
-
     /// Registers a flow; its FTP source starts at `spec.start`.
     ///
     /// # Panics
@@ -645,7 +515,7 @@ impl Simulator {
             TcpReceiver::new(flow, sack)
         };
         self.nodes[spec.dst.index()].receivers.insert(flow, ReceiverEndpoint { receiver });
-        self.schedule(spec.start.max(self.now), Event::FlowStart { flow });
+        self.events.push(spec.start.max(self.now), Event::FlowStart { flow });
         self.flows.push(spec);
         flow
     }
@@ -678,7 +548,7 @@ impl Simulator {
         for timed in &script.events {
             let index = self.scripted_faults.len();
             self.scripted_faults.push(timed.clone());
-            self.schedule(timed.at.max(self.now), Event::Fault { index });
+            self.events.push(timed.at.max(self.now), Event::Fault { index });
         }
     }
 
@@ -840,7 +710,7 @@ impl Simulator {
                     let backlog = std::mem::take(&mut self.deferred[node.index()]);
                     let now = self.now;
                     for deferred in backlog {
-                        self.schedule(now, deferred);
+                        self.events.push(now, deferred);
                     }
                 }
             }
@@ -969,68 +839,8 @@ impl Simulator {
         self.events.pop()
     }
 
-    /// Home shard of a node under the sharded driver (0 for serial runs).
-    #[inline]
-    fn shard_for_node(&self, node: NodeId) -> usize {
-        self.shard_map.get(node.index()).map_or(0, |&s| usize::from(s))
-    }
-
-    /// Shard an event is routed to and accounted against: node-owned events
-    /// follow their node's home shard; global events (flow starts, sampling,
-    /// scripted faults) live on shard 0.
-    fn shard_of_event(&self, event: &Event) -> usize {
-        match event {
-            Event::RxStart { node, .. }
-            | Event::RxEnd { node, .. }
-            | Event::TxDone { node }
-            | Event::MacTimer { node, .. }
-            | Event::AodvTimer { node, .. }
-            | Event::TcpTimer { node, .. }
-            | Event::JitteredEnqueue { node, .. }
-            | Event::MobilityTick { node }
-            | Event::DelAckTimer { node, .. } => self.shard_for_node(*node),
-            Event::FlowStart { .. } | Event::Sample | Event::Fault { .. } => 0,
-        }
-    }
-
-    /// Schedules an event, routing it to its home shard's sub-queue under
-    /// the sharded driver. Routing never affects pop order — the merged
-    /// `(time, seq)` key is global — so the serial drivers simply ignore
-    /// the hint.
-    fn schedule(&mut self, at: SimTime, event: Event) {
-        let shard = self.shard_of_event(&event);
-        self.events.push_routed(at, event, shard);
-    }
-
-    /// The work-counter block increments for `shard` land in: the per-shard
-    /// block under the sharded driver, the single serial block otherwise.
-    #[inline]
-    fn perf_at(&mut self, shard: usize) -> &mut RunPerf {
-        if self.shard_perf.is_empty() {
-            &mut self.perf
-        } else {
-            &mut self.shard_perf[shard]
-        }
-    }
-
-    /// Whether mobility-tick batching (the parallel shard executor) is
-    /// active. The model-checker's tie-order hook takes over pop order, so
-    /// batching defers to it.
-    fn batching_enabled(&self) -> bool {
-        self.shard_perf.len() > 1 && self.tie_order.is_none()
-    }
-
     /// Runs the event loop until virtual time `end`.
-    ///
-    /// Under [`SchedulerKind::Sharded`] with more than one shard, contiguous
-    /// runs of mobility ticks inside one conservative lookahead window are
-    /// executed as a batch: neighbor-row planning fans out across shard
-    /// worker threads while every externally visible effect (trace digest,
-    /// RNG draws, event seq numbers, perf counters, trace log) is committed
-    /// serially in exact pop order, so the run stays byte-identical to the
-    /// serial drivers.
     pub fn run_until(&mut self, end: SimTime) {
-        let batching = self.batching_enabled();
         while let Some(t) = self.events.peek_time() {
             if t > end {
                 break;
@@ -1039,29 +849,17 @@ impl Simulator {
             let (now, event) = self.pop_event().expect("peeked event vanished");
             self.now = now;
             fold_event(&mut self.trace_hash, now, &event);
-            let shard = self.shard_of_event(&event);
-            account_event(self.perf_at(shard), &event);
-            if batching && matches!(event, Event::MobilityTick { .. }) {
-                self.run_tick_batch(now, event, qlen, end);
-            } else {
-                let p = self.perf_at(shard);
-                p.peak_event_queue = p.peak_event_queue.max(qlen);
-                self.dispatch(event);
-            }
+            account_event(&mut self.perf, &event);
+            self.perf.peak_event_queue = self.perf.peak_event_queue.max(qlen);
+            self.dispatch(event);
         }
         self.now = end.max(self.now);
     }
 
-    /// This run's deterministic work counters so far: the serial block
-    /// merged with every shard's block (sharded runs write only the shard
-    /// blocks, so the merge reproduces the serial counters exactly). Timer
-    /// cancellations are aggregated on demand from every layer's own
-    /// tombstone counter.
+    /// This run's deterministic work counters so far. Timer cancellations
+    /// are aggregated on demand from every layer's own tombstone counter.
     pub fn perf(&self) -> RunPerf {
         let mut perf = self.perf;
-        for block in &self.shard_perf {
-            perf.merge(block);
-        }
         for n in &self.nodes {
             perf.timers_cancelled += n.mac.timers_cancelled() + n.aodv.timers_cancelled();
             for ep in n.senders.values() {
@@ -1072,13 +870,6 @@ impl Simulator {
             }
         }
         perf
-    }
-
-    /// The raw per-shard work-counter blocks (empty for serial runs).
-    /// [`Simulator::perf`] is their merge; each block counts only the work
-    /// attributed to its shard, so the blocks also expose load balance.
-    pub fn shard_perf(&self) -> &[RunPerf] {
-        &self.shard_perf
     }
 
     /// Report for one flow.
@@ -1160,10 +951,8 @@ impl Simulator {
     /// of which index the channel uses.
     fn apply_position(&mut self, node: NodeId, position: phy::Position) {
         let churn = self.channel.set_position(node, position);
-        let shard = self.shard_for_node(node);
-        let p = self.perf_at(shard);
-        p.position_updates += 1;
-        p.link_churn += churn as u64;
+        self.perf.position_updates += 1;
+        self.perf.link_churn += churn as u64;
         if self.log.is_some() {
             self.rec(TraceRecord::PhyMove { node, x: position.x, y: position.y });
         }
@@ -1182,7 +971,7 @@ impl Simulator {
             .movements
             .insert(node, Movement { target, speed_mps, plan: MobilityPlan::OneShot });
         if fresh.is_none() {
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
+            self.events.push(self.now + MOBILITY_TICK, Event::MobilityTick { node });
         }
     }
 
@@ -1208,7 +997,7 @@ impl Simulator {
             Movement { target, speed_mps: speed, plan: MobilityPlan::Waypoint(plan) },
         );
         if fresh.is_none() {
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
+            self.events.push(self.now + MOBILITY_TICK, Event::MobilityTick { node });
         }
     }
 
@@ -1237,7 +1026,7 @@ impl Simulator {
             },
         );
         if fresh.is_none() {
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
+            self.events.push(self.now + MOBILITY_TICK, Event::MobilityTick { node });
         }
     }
 
@@ -1286,7 +1075,8 @@ impl Simulator {
                         node,
                         Movement { target, speed_mps: speed, plan: MobilityPlan::Waypoint(plan) },
                     );
-                    self.schedule(self.now + pause + MOBILITY_TICK, Event::MobilityTick { node });
+                    self.events
+                        .push(self.now + pause + MOBILITY_TICK, Event::MobilityTick { node });
                 }
                 MobilityPlan::Script { legs, next } => {
                     // The pause belongs to the leg that just finished: the
@@ -1302,10 +1092,8 @@ impl Simulator {
                                 plan: MobilityPlan::Script { legs, next: next + 1 },
                             },
                         );
-                        self.schedule(
-                            self.now + pause + MOBILITY_TICK,
-                            Event::MobilityTick { node },
-                        );
+                        self.events
+                            .push(self.now + pause + MOBILITY_TICK, Event::MobilityTick { node });
                     } else {
                         self.movements.remove(&node);
                     }
@@ -1318,207 +1106,7 @@ impl Simulator {
                 here.y + (movement.target.y - here.y) * frac,
             );
             self.apply_position(node, next);
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
-        }
-    }
-
-    /// Executes one sharded mobility batch: the contiguous run of mobility
-    /// ticks starting with `first` (already popped, folded and accounted by
-    /// [`Simulator::run_until`]) whose times fall inside one conservative
-    /// lookahead window `[t0, t0 + lookahead()]`.
-    ///
-    /// Three phases keep the run byte-identical to serial execution:
-    ///
-    /// 1. **Formation (serial)** — pops events in order, gating each tick
-    ///    and staging its destination. No pushes and no RNG draws happen
-    ///    here, so the event seq counter and the RNG stream sit exactly
-    ///    where serial execution would have them at each commit below.
-    /// 2. **Planning (parallel)** — neighbor rows for every staged move are
-    ///    computed by shard worker threads over frozen pre-batch state plus
-    ///    the earlier-rank overlay ([`Channel::plan_move`]); pure reads, so
-    ///    thread scheduling cannot affect the result.
-    /// 3. **Commit (serial, pop order)** — applies each planned move,
-    ///    replays the RNG draws and event pushes of the serial tick handler
-    ///    in the same order, reconstructs the queue-depth peak serial
-    ///    execution would have observed, then dispatches the terminator.
-    fn run_tick_batch(&mut self, t0: SimTime, first: Event, qlen0: usize, end: SimTime) {
-        let window_end = t0.saturating_add(sim_core::lookahead());
-        let mut seen = vec![false; self.nodes.len()];
-        let mut pending = PendingMoves::new();
-        let mut steps: Vec<MoveStep> = Vec::new();
-        let mut slots: Vec<BatchSlot> = Vec::new();
-
-        self.form_slot(t0, first, &mut seen, &mut pending, &mut steps, &mut slots);
-        while !matches!(slots.last(), Some(BatchSlot::Term { .. })) {
-            let Some(t) = self.events.peek_time() else { break };
-            if t > end || t > window_end {
-                break;
-            }
-            let Some((now, event)) = self.events.pop() else { break };
-            self.now = now;
-            fold_event(&mut self.trace_hash, now, &event);
-            let shard = self.shard_of_event(&event);
-            account_event(self.perf_at(shard), &event);
-            self.form_slot(now, event, &mut seen, &mut pending, &mut steps, &mut slots);
-        }
-
-        // Plan rows in parallel, each shard's worker handling its own
-        // movers. On a single-core host `run_sharded` degrades to an
-        // inline loop with identical results.
-        let mut rows_by_rank: Vec<(Vec<NodeId>, Vec<NodeId>)> = Vec::new();
-        if !steps.is_empty() {
-            self.channel.seal_moves(&mut pending);
-            let nshards = self.shard_perf.len();
-            let channel = &self.channel;
-            let pending_ref = &pending;
-            let step_shards: Vec<usize> = steps.iter().map(|s| s.shard).collect();
-            let per_shard = sim_core::run_sharded(nshards, |shard| {
-                step_shards
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| s == shard)
-                    .map(|(rank, _)| (rank, channel.plan_move(pending_ref, rank)))
-                    .collect::<Vec<_>>()
-            });
-            rows_by_rank = vec![(Vec::new(), Vec::new()); steps.len()];
-            for bucket in per_shard {
-                for (rank, rows) in bucket {
-                    rows_by_rank[rank] = rows;
-                }
-            }
-        }
-
-        // Serial commit in pop order. `virtual_len` reconstructs the queue
-        // depth serial execution would see before each pop: formation
-        // already drained the whole batch, so the peak comes from the
-        // per-commit push counts instead of live queue length.
-        let mut virtual_len = qlen0;
-        for slot in slots {
-            let shard = match &slot {
-                BatchSlot::Move { rank } => steps[*rank].shard,
-                BatchSlot::Skip { shard } | BatchSlot::Term { shard, .. } => *shard,
-            };
-            let p = self.perf_at(shard);
-            p.peak_event_queue = p.peak_event_queue.max(virtual_len);
-            virtual_len = virtual_len.saturating_sub(1);
-            match slot {
-                BatchSlot::Skip { .. } => {}
-                BatchSlot::Move { rank } => {
-                    // Each rank is planned exactly once; `apply_move`'s
-                    // differential debug assertion catches an empty plan.
-                    let rows = std::mem::take(&mut rows_by_rank[rank]);
-                    let step = &steps[rank];
-                    let (node, new_pos) = (step.node, step.new_pos);
-                    self.now = step.t;
-                    let churn = self.channel.apply_move(node, new_pos, rows);
-                    let p = self.perf_at(shard);
-                    p.position_updates += 1;
-                    p.link_churn += churn as u64;
-                    if self.log.is_some() {
-                        self.rec(TraceRecord::PhyMove { node, x: new_pos.x, y: new_pos.y });
-                    }
-                    let moved = steps[rank].movement.clone();
-                    virtual_len += self.commit_move_plan(node, steps[rank].arrived, moved);
-                }
-                BatchSlot::Term { t, event, .. } => {
-                    self.now = t;
-                    self.dispatch(event);
-                }
-            }
-        }
-    }
-
-    /// Formation step for one popped event (already folded and accounted):
-    /// classifies it into a batch slot, gating ticks in pop order and
-    /// staging their destination moves. A second tick for a node already
-    /// staged in this batch terminates formation — committing both here
-    /// would fold two position updates into one.
-    fn form_slot(
-        &mut self,
-        t: SimTime,
-        event: Event,
-        seen: &mut [bool],
-        pending: &mut PendingMoves,
-        steps: &mut Vec<MoveStep>,
-        slots: &mut Vec<BatchSlot>,
-    ) {
-        let shard = self.shard_of_event(&event);
-        let fresh_tick = matches!(&event, Event::MobilityTick { node } if !seen[node.index()]);
-        if !fresh_tick {
-            slots.push(BatchSlot::Term { t, shard, event });
-            return;
-        }
-        let Some(Event::MobilityTick { node }) = self.gate_event(event) else {
-            slots.push(BatchSlot::Skip { shard });
-            return;
-        };
-        seen[node.index()] = true;
-        let Some(movement) = self.movements.get(&node).cloned() else {
-            slots.push(BatchSlot::Skip { shard });
-            return;
-        };
-        let here = self.channel.position(node);
-        let distance = here.distance_to(movement.target);
-        let step = movement.speed_mps * MOBILITY_TICK.as_secs_f64();
-        let arrived = distance <= step;
-        let new_pos = if arrived {
-            movement.target
-        } else {
-            let frac = step / distance;
-            phy::Position::new(
-                here.x + (movement.target.x - here.x) * frac,
-                here.y + (movement.target.y - here.y) * frac,
-            )
-        };
-        pending.stage(node, new_pos);
-        slots.push(BatchSlot::Move { rank: steps.len() });
-        steps.push(MoveStep { node, t, shard, arrived, new_pos, movement });
-    }
-
-    /// Replays the serial tick handler's post-move effects for one batched
-    /// commit: arrival-plan bookkeeping, the RNG draws the serial path
-    /// performs (in the same order), and the follow-up tick push. Returns
-    /// how many events were pushed, for the commit phase's queue-depth
-    /// reconstruction.
-    fn commit_move_plan(&mut self, node: NodeId, arrived: bool, movement: Movement) -> usize {
-        if !arrived {
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
-            return 1;
-        }
-        match movement.plan {
-            MobilityPlan::OneShot => {
-                self.movements.remove(&node);
-                0
-            }
-            MobilityPlan::Waypoint(plan) => {
-                let (target, speed) = self.draw_waypoint(&plan);
-                let pause = self.draw_pause(&plan);
-                self.movements.insert(
-                    node,
-                    Movement { target, speed_mps: speed, plan: MobilityPlan::Waypoint(plan) },
-                );
-                self.schedule(self.now + pause + MOBILITY_TICK, Event::MobilityTick { node });
-                1
-            }
-            MobilityPlan::Script { legs, next } => {
-                let pause = legs[next - 1].pause;
-                if next < legs.len() {
-                    let leg = legs[next];
-                    self.movements.insert(
-                        node,
-                        Movement {
-                            target: leg.target,
-                            speed_mps: leg.speed_mps,
-                            plan: MobilityPlan::Script { legs, next: next + 1 },
-                        },
-                    );
-                    self.schedule(self.now + pause + MOBILITY_TICK, Event::MobilityTick { node });
-                    1
-                } else {
-                    self.movements.remove(&node);
-                    0
-                }
-            }
+            self.events.push(self.now + MOBILITY_TICK, Event::MobilityTick { node });
         }
     }
 
@@ -1555,12 +1143,6 @@ impl Simulator {
             Event::RxEnd { node, tx_id, frame, in_rx_range } => {
                 let now = self.now;
                 let outcome = self.nodes[node.index()].phy.on_rx_end(tx_id, now);
-                self.trace(TraceEvent::FrameReceived {
-                    node,
-                    from: frame.src,
-                    kind: frame.kind(),
-                    outcome,
-                });
                 if self.log.is_some() {
                     let uid = frame.packet().map(|p| p.uid);
                     match outcome {
@@ -1624,8 +1206,7 @@ impl Simulator {
                 // Lazy cancellation: a tombstoned timer's queued event still
                 // pops, but is discarded here instead of entering the MAC.
                 if !self.nodes[node.index()].mac.timer_is_live(id) {
-                    let shard = self.shard_for_node(node);
-                    self.perf_at(shard).timers_stale_popped += 1;
+                    self.perf.timers_stale_popped += 1;
                     return;
                 }
                 let now = self.now;
@@ -1635,8 +1216,7 @@ impl Simulator {
             }
             Event::AodvTimer { node, id } => {
                 if !self.nodes[node.index()].aodv.timer_is_live(id) {
-                    let shard = self.shard_for_node(node);
-                    self.perf_at(shard).timers_stale_popped += 1;
+                    self.perf.timers_stale_popped += 1;
                     return;
                 }
                 let now = self.now;
@@ -1655,7 +1235,7 @@ impl Simulator {
                     // backoff. Probe for a route and re-check shortly.
                     let outs = self.nodes[node.index()].aodv.ensure_route(spec.dst, now);
                     self.process_aodv_outputs(node, outs);
-                    self.schedule(
+                    self.events.push(
                         now + sim_core::SimDuration::from_millis(100),
                         Event::TcpTimer { node, flow, id },
                     );
@@ -1668,8 +1248,7 @@ impl Simulator {
                     .get(&flow)
                     .is_some_and(|ep| !ep.transport.timer_is_live(id));
                 if stale {
-                    let shard = self.shard_for_node(node);
-                    self.perf_at(shard).timers_stale_popped += 1;
+                    self.perf.timers_stale_popped += 1;
                 }
                 let outputs = match self.nodes[node.index()].senders.get_mut(&flow) {
                     Some(ep) if !stale => ep.transport.on_timer(id, now),
@@ -1689,8 +1268,7 @@ impl Simulator {
                     .get(&flow)
                     .is_some_and(|ep| !ep.receiver.delack_is_live(id));
                 if stale {
-                    let shard = self.shard_for_node(node);
-                    self.perf_at(shard).timers_stale_popped += 1;
+                    self.perf.timers_stale_popped += 1;
                     return;
                 }
                 let (ack, src) = {
@@ -1749,7 +1327,7 @@ impl Simulator {
                     }
                     n.last_mac_stats = cur;
                 }
-                self.schedule(now + self.cfg.sample_interval, Event::Sample);
+                self.events.push(now + self.cfg.sample_interval, Event::Sample);
             }
             Event::Fault { index } => self.apply_fault(index),
         }
@@ -1764,7 +1342,7 @@ impl Simulator {
             match output {
                 MacOutput::Transmit { frame, airtime } => self.transmit(node, frame, airtime),
                 MacOutput::SetTimer { id, at } => {
-                    self.schedule(at, Event::MacTimer { node, id });
+                    self.events.push(at, Event::MacTimer { node, id });
                 }
                 MacOutput::Deliver { packet, from } => {
                     let now = self.now;
@@ -1786,7 +1364,6 @@ impl Simulator {
                 }
                 MacOutput::TxFailed { packet, next_hop } => {
                     let now = self.now;
-                    self.trace(TraceEvent::LinkFailure { node, next_hop });
                     self.emit(CheckEvent::LinkFailure { node, next_hop });
                     self.rec(TraceRecord::MacRetryDrop { node, next_hop, uid: packet.uid });
                     let outs = self.nodes[node.index()].aodv.on_link_failure(packet, next_hop, now);
@@ -1830,7 +1407,7 @@ impl Simulator {
                         // deterministically.
                         let jitter =
                             sim_core::SimDuration::from_micros(u64::from(self.rng.below(10_000)));
-                        self.schedule(
+                        self.events.push(
                             self.now + jitter,
                             Event::JitteredEnqueue { node, packet, next_hop },
                         );
@@ -1840,7 +1417,7 @@ impl Simulator {
                 }
                 AodvOutput::DeliverLocal(packet) => self.deliver_transport(node, packet),
                 AodvOutput::SetTimer { id, at } => {
-                    self.schedule(at, Event::AodvTimer { node, id });
+                    self.events.push(at, Event::AodvTimer { node, id });
                 }
                 AodvOutput::Dropped { packet, .. } => {
                     self.nodes[node.index()].routing_drops += 1;
@@ -1918,7 +1495,7 @@ impl Simulator {
                     self.route_local(node, packet);
                 }
                 TcpOutput::SetTimer { id, at } => {
-                    self.schedule(at, Event::TcpTimer { node, flow, id });
+                    self.events.push(at, Event::TcpTimer { node, flow, id });
                 }
             }
         }
@@ -1986,7 +1563,6 @@ impl Simulator {
                 let uid = packet.uid;
                 let flow = packet.tcp().map(|s| s.flow);
                 self.nodes[node.index()].router.drai_mut().note_congestion_drop(now);
-                self.trace(TraceEvent::QueueDrop { node, uid });
                 self.rec(TraceRecord::IfqDrop { node, uid, flow, early: false });
                 self.emit(CheckEvent::QueueDrop { node, uid });
                 self.try_feed_mac(node);
@@ -2011,9 +1587,7 @@ impl Simulator {
             n.router.drai_mut().observe_queue(len, now);
             (outcome, uid, flow, avbw, marked, len)
         };
-        let shard = self.shard_for_node(node);
-        let p = self.perf_at(shard);
-        p.peak_ifq_depth = p.peak_ifq_depth.max(depth);
+        self.perf.peak_ifq_depth = self.perf.peak_ifq_depth.max(depth);
         match outcome {
             IfqPush::Stored { marked: red_marked } => {
                 if self.log.is_some() {
@@ -2035,7 +1609,6 @@ impl Simulator {
                 // eviction), so trace its own identity.
                 let uid = shed.uid;
                 let flow = shed.tcp().map(|s| s.flow);
-                self.trace(TraceEvent::QueueDrop { node, uid });
                 self.rec(TraceRecord::IfqDrop { node, uid, flow, early });
                 self.emit(CheckEvent::QueueDrop { node, uid });
             }
@@ -2064,7 +1637,6 @@ impl Simulator {
     /// every node in carrier-sense range, and the sender's TxDone.
     fn transmit(&mut self, sender: NodeId, frame: MacFrame, airtime: sim_core::SimDuration) {
         let now = self.now;
-        self.trace(TraceEvent::FrameSent { node: sender, frame: &frame });
         if self.log.is_some() {
             self.rec(TraceRecord::PhyTx {
                 node: sender,
@@ -2098,16 +1670,12 @@ impl Simulator {
             let power = self.cfg.radio.rx_power(distance);
             let rx_start = now + prop;
             let rx_end = rx_start + airtime;
-            self.schedule(
-                rx_start,
-                Event::RxStart { node: nb, tx_id, end: rx_end, decodable, power },
-            );
-            self.schedule(
-                rx_end,
-                Event::RxEnd { node: nb, tx_id, frame: frame.clone(), in_rx_range },
-            );
+            self.events
+                .push(rx_start, Event::RxStart { node: nb, tx_id, end: rx_end, decodable, power });
+            self.events
+                .push(rx_end, Event::RxEnd { node: nb, tx_id, frame: frame.clone(), in_rx_range });
         }
-        self.schedule(end, Event::TxDone { node: sender });
+        self.events.push(end, Event::TxDone { node: sender });
     }
 
     /// Whether the channel corrupts a data frame heading to `nb`: the
@@ -2148,7 +1716,6 @@ impl Simulator {
         let Some(segment) = packet.tcp() else { return };
         let flow = segment.flow;
         let is_data = segment.is_data();
-        self.trace(TraceEvent::SegmentDelivered { node, flow, is_data });
         if self.log.is_some() {
             let record = match &segment.kind {
                 TcpSegmentKind::Data { seq, avbw, marked, .. } => TraceRecord::TcpRecvData {
@@ -2181,7 +1748,7 @@ impl Simulator {
             };
             self.emit(CheckEvent::Delivered { node, flow, uid, is_data: true, rcv_nxt_after });
             if let Some((id, at)) = timer {
-                self.schedule(at, Event::DelAckTimer { node, flow, id });
+                self.events.push(at, Event::DelAckTimer { node, flow, id });
             }
             if let Some(segment) = ack_segment {
                 let uid = self.nodes[node.index()].uid.next();
@@ -2544,7 +2111,7 @@ impl Simulator {
     /// Serializes the complete mutable simulation state — event queue, RNG,
     /// trace-hash accumulator, every layer of every node, flow transports,
     /// mobility, fault state and work counters — into the versioned snapshot
-    /// format. Observers (tracer, trace log, checker, tie-order hook) are
+    /// format. Observers (trace log, checker, tie-order hook) are
     /// not part of the simulation state and are not captured.
     ///
     /// A restore of these bytes into a freshly built simulator with the same
@@ -2574,7 +2141,6 @@ impl Simulator {
         w.put(&self.saturated);
         w.put(&self.scripted_down);
         w.put(&self.perf);
-        w.put(&self.shard_perf);
         w.finish()
     }
 
@@ -2583,7 +2149,7 @@ impl Simulator {
     /// The simulator must have been built with the same [`SimConfig`] and
     /// node count as the one that produced the bytes (checked via the
     /// embedded fingerprint). Everything mutable is overwritten; installed
-    /// observers (tracer, trace log, checker, tie-order hook) are left as
+    /// observers (trace log, checker, tie-order hook) are left as
     /// they are. All decoding completes before any state is touched, so a
     /// failed restore leaves the simulator unchanged.
     ///
@@ -2637,10 +2203,6 @@ impl Simulator {
         let saturated: DetMap<NodeId, usize> = r.get()?;
         let scripted_down: DetSet<(NodeId, NodeId)> = r.get()?;
         let perf: RunPerf = r.get()?;
-        let shard_perf: Vec<RunPerf> = r.get()?;
-        if shard_perf.len() != self.shard_perf.len() {
-            return Err(sim_core::SnapError::Invalid("shard perf block count"));
-        }
         r.finish()?;
         self.now = now;
         self.next_tx_id = next_tx_id;
@@ -2660,36 +2222,8 @@ impl Simulator {
         self.saturated = saturated;
         self.scripted_down = scripted_down;
         self.perf = perf;
-        self.shard_perf = shard_perf;
         Ok(())
     }
-}
-
-/// The stderr tracer installed by setting the `SIM_TRACE` environment
-/// variable (handy for debugging a run without writing code).
-pub fn stderr_tracer() -> Tracer {
-    Box::new(|now, event| match event {
-        TraceEvent::FrameSent { node, frame } => {
-            eprintln!(
-                "{now} TX {node} -> {} {:?} nav_until={}ns",
-                frame.dst,
-                frame.kind(),
-                frame.nav_until_nanos
-            );
-        }
-        TraceEvent::FrameReceived { node, from, kind, outcome } => {
-            eprintln!("{now} RX {node} <- {from} {kind:?} outcome={outcome:?}");
-        }
-        TraceEvent::SegmentDelivered { node, flow, is_data } => {
-            eprintln!("{now} DLV {node} {flow} {}", if *is_data { "data" } else { "ack" });
-        }
-        TraceEvent::QueueDrop { node, uid } => {
-            eprintln!("{now} DROP {node} uid={uid}");
-        }
-        TraceEvent::LinkFailure { node, next_hop } => {
-            eprintln!("{now} LINKFAIL {node} -> {next_hop}");
-        }
-    })
 }
 
 #[cfg(test)]
@@ -2797,108 +2331,6 @@ mod tests {
             short.delivered_bytes,
             long.delivered_bytes
         );
-    }
-
-    #[test]
-    fn schedulers_produce_identical_runs() {
-        let run = |kind| {
-            let cfg = SimConfig { scheduler: kind, ..SimConfig::default() };
-            let mut sim = Simulator::new(topology::chain(4), cfg);
-            let (src, dst) = topology::chain_flow(4);
-            let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha).with_delayed_ack());
-            sim.run_until(secs(3.0));
-            (sim.trace_hash(), sim.flow_report(flow).delivered_segments, sim.perf())
-        };
-        let (cal_hash, cal_segs, cal_perf) = run(sim_core::SchedulerKind::Calendar);
-        let (heap_hash, heap_segs, heap_perf) = run(sim_core::SchedulerKind::Heap);
-        assert_eq!(cal_hash, heap_hash, "calendar and heap must replay the same event stream");
-        assert_eq!(cal_segs, heap_segs);
-        assert_eq!(cal_perf.events_processed, heap_perf.events_processed);
-        assert_eq!(cal_perf.timers_stale_popped, heap_perf.timers_stale_popped);
-        let (sh_hash, sh_segs, sh_perf) = run(sim_core::SchedulerKind::Sharded);
-        assert_eq!(sh_hash, cal_hash, "sharded must replay the same event stream");
-        assert_eq!(sh_segs, cal_segs);
-        assert_eq!(sh_perf, cal_perf);
-    }
-
-    /// The sharded driver must replay the serial event stream byte-for-byte
-    /// on a mobile topology — where the parallel tick-batch executor
-    /// actually engages — and its merged per-shard counters must equal the
-    /// serial block exactly, at every shard count.
-    #[test]
-    fn sharded_driver_matches_serial_on_mobile_topology() {
-        let run = |scheduler, shards| {
-            let cfg = SimConfig {
-                scheduler,
-                shards,
-                topology: topo::TopologySpec::RandomDisc {
-                    count: 30,
-                    width_m: 1200.0,
-                    height_m: 900.0,
-                },
-                mobility: MobilitySpec::Waypoint {
-                    min_speed_mps: 2.0,
-                    max_speed_mps: 20.0,
-                    pause: sim_core::SimDuration::from_millis(200),
-                },
-                ..SimConfig::default()
-            };
-            let mut sim = Simulator::from_config(cfg);
-            let last = NodeId::new(sim.node_count() as u16 - 1);
-            let flow = sim.add_flow(FlowSpec::new(NodeId::new(0), last, TcpVariant::Muzha));
-            sim.run_until(secs(4.0));
-            let blocks = sim.shard_perf().len();
-            (sim.trace_hash(), sim.flow_report(flow).delivered_segments, sim.perf(), blocks)
-        };
-        let (serial_hash, serial_segs, serial_perf, serial_blocks) =
-            run(sim_core::SchedulerKind::Calendar, 1);
-        assert_eq!(serial_blocks, 0, "serial runs carry no shard blocks");
-        assert_eq!(serial_perf.classified_total(), serial_perf.events_processed);
-        for shards in [1usize, 2, 4] {
-            let (hash, segs, perf, blocks) = run(sim_core::SchedulerKind::Sharded, shards);
-            assert_eq!(hash, serial_hash, "sharded({shards}) diverged from serial");
-            assert_eq!(segs, serial_segs);
-            assert_eq!(perf, serial_perf, "merged shard perf must equal serial perf exactly");
-            assert_eq!(perf.classified_total(), perf.events_processed);
-            assert_eq!(blocks, if shards > 1 { shards } else { 0 });
-        }
-    }
-
-    /// A snapshot of a sharded run restores into a fresh sharded simulator
-    /// and continues bit-identically — per-shard counters included.
-    #[test]
-    fn sharded_snapshot_round_trip_continues_identically() {
-        let mk = || {
-            let cfg = SimConfig {
-                scheduler: sim_core::SchedulerKind::Sharded,
-                shards: 4,
-                topology: topo::TopologySpec::RandomDisc {
-                    count: 20,
-                    width_m: 1000.0,
-                    height_m: 800.0,
-                },
-                mobility: MobilitySpec::Waypoint {
-                    min_speed_mps: 5.0,
-                    max_speed_mps: 20.0,
-                    pause: sim_core::SimDuration::ZERO,
-                },
-                ..SimConfig::default()
-            };
-            let mut sim = Simulator::from_config(cfg);
-            let last = NodeId::new(sim.node_count() as u16 - 1);
-            sim.add_flow(FlowSpec::new(NodeId::new(0), last, TcpVariant::NewReno));
-            sim
-        };
-        let mut a = mk();
-        a.run_until(secs(2.0));
-        let snap = a.snapshot();
-        let mut b = mk();
-        b.restore(&snap).expect("sharded snapshot must restore");
-        a.run_until(secs(4.0));
-        b.run_until(secs(4.0));
-        assert_eq!(a.trace_hash(), b.trace_hash(), "restored twin diverged");
-        assert_eq!(a.perf(), b.perf());
-        assert_eq!(a.shard_perf(), b.shard_perf());
     }
 
     #[test]
@@ -3476,43 +2908,6 @@ mod mobility_tests {
         let r = sim.flow_report(flow);
         let tail = r.delivered_in_window(secs(15.0), secs(20.0));
         assert!(tail > 5, "flow must recover after the relay returns, got {tail}");
-    }
-}
-
-#[cfg(test)]
-mod tracer_tests {
-    use super::*;
-    use crate::topology;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[test]
-    fn tracer_observes_all_event_classes() {
-        let counts = Rc::new(RefCell::new((0u32, 0u32, 0u32))); // sent, received, delivered
-        let c2 = Rc::clone(&counts);
-        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        sim.set_tracer(Box::new(move |_now, event| {
-            let mut c = c2.borrow_mut();
-            match event {
-                TraceEvent::FrameSent { .. } => c.0 += 1,
-                TraceEvent::FrameReceived { .. } => c.1 += 1,
-                TraceEvent::SegmentDelivered { .. } => c.2 += 1,
-                _ => {}
-            }
-        }));
-        let (src, dst) = topology::chain_flow(2);
-        let _ = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        sim.run_until(SimTime::from_secs_f64(2.0));
-        let c = counts.borrow();
-        assert!(c.0 > 10, "frames sent traced: {}", c.0);
-        assert!(c.1 >= c.0, "every transmission has receivers in range");
-        assert!(c.2 > 10, "deliveries traced: {}", c.2);
-        // Clearing stops the stream.
-        drop(c);
-        sim.clear_tracer();
-        let before = counts.borrow().0;
-        sim.run_until(SimTime::from_secs_f64(3.0));
-        assert_eq!(counts.borrow().0, before);
     }
 }
 

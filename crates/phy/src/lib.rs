@@ -23,7 +23,7 @@ mod loss;
 mod params;
 mod state;
 
-pub use channel::{Channel, PendingMoves};
+pub use channel::Channel;
 pub use loss::{GeState, GilbertElliott};
 pub use params::RadioParams;
 pub use state::{PhyState, RxOutcome, TxId};

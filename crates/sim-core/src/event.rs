@@ -1,19 +1,13 @@
 //! The stable, timed event queue at the heart of the simulator.
 //!
-//! Two implementations share one contract:
-//!
-//! * [`EventQueue`] — a calendar queue (Brown's O(1) event list, the
-//!   scheduler ns-2 ships as its default), used by the driver loop.
-//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept as the
-//!   reference oracle for differential tests and scheduler benchmarks.
-//!
-//! Both pop events in `(time, seq)` order with FIFO tie-break, so swapping
-//! one for the other must never change a simulation's event stream — the
-//! scenario-corpus trace hashes pin exactly that.
+//! [`DriverQueue`] is a `BinaryHeap` keyed on `(time, seq)`, where `seq` is
+//! a per-queue push counter: events pop in time order and same-instant
+//! events pop in insertion (FIFO) order, which is what makes a run
+//! bit-for-bit reproducible. The scenario-corpus trace hashes pin that
+//! order end to end.
 
-use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
 use crate::SimTime;
@@ -45,106 +39,43 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Smallest bucket count the calendar ever shrinks to.
-const MIN_BUCKETS: usize = 4;
-/// Initial estimate of the gap between consecutive event times (ns).
-const INITIAL_GAP: u64 = 1_024;
-
-/// Cached location of the earliest pending entry: `bucket` holds the head
-/// with the minimal `(time, seq)` over the whole queue.
-#[derive(Clone, Copy, Debug)]
-struct Hint {
-    time: SimTime,
-    bucket: usize,
+/// Which scheduler backs a simulation's event queue.
+///
+/// There is one: the `BinaryHeap` queue. The type stays so configurations
+/// and benchmark code that name the scheduler keep compiling.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SchedulerKind {
+    /// The `BinaryHeap` + sequence-number queue, O(log n) push/pop.
+    #[default]
+    Heap,
 }
 
-/// A priority queue of `(SimTime, E)` pairs that pops events in time order,
-/// breaking ties by insertion order (FIFO).
-///
-/// The FIFO tie-break is what makes simulations deterministic: two events
-/// scheduled for the same instant are always delivered in the order they were
-/// scheduled, independent of queue internals.
-///
-/// # Implementation
-///
-/// A calendar queue: a power-of-two array of buckets, each a `(time, seq)`-
-/// sorted deque, with bucket `(t / width) & mask` owning every event whose
-/// time is `t` modulo one "year" (`nbuckets × width`). Pops scan at most one
-/// lap from a cursor committed at the previous pop; a lap that finds nothing
-/// in its year window falls back to a direct minimum search, which also
-/// handles far-future jumps. The bucket width tracks an EWMA of observed
-/// pop-to-pop gaps, and the bucket count doubles when occupancy exceeds two
-/// per bucket and halves below one per two buckets (ns-2's resize policy),
-/// so push and pop stay O(1) amortised against the heap's O(log n).
-///
-/// Because equal times always map to the same bucket, FIFO ties cost one
-/// sorted-insert into a run of equal-time entries and pop in insertion order.
+/// The simulator's event queue: time order, FIFO among ties, monotonic
+/// pushes, O(log n) push and pop.
 ///
 /// # Example
 ///
 /// ```
-/// use sim_core::{EventQueue, SimTime};
+/// use sim_core::{DriverQueue, SchedulerKind, SimDuration, SimTime};
 ///
-/// let mut q = EventQueue::new();
-/// let t = SimTime::from_nanos(10);
-/// q.push(t, 'a');
-/// q.push(t, 'b');
-/// assert_eq!(q.pop(), Some((t, 'a')));
-/// assert_eq!(q.pop(), Some((t, 'b')));
-/// assert_eq!(q.pop(), None);
+/// let mut q: DriverQueue<&str> = DriverQueue::new(SchedulerKind::Heap);
+/// q.push(SimTime::ZERO + SimDuration::from_millis(5), "b");
+/// q.push(SimTime::ZERO + SimDuration::from_millis(1), "a");
+/// let (t, ev) = q.pop().unwrap();
+/// assert_eq!((t.as_micros(), ev), (1_000, "a"));
 /// ```
 #[derive(Debug)]
-pub struct EventQueue<E> {
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// Bucket width in nanoseconds (≥ 1).
-    width: u64,
-    len: usize,
+pub struct DriverQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Time of the most recent pop — the queue's notion of "now" and the
-    /// monotonicity floor for [`Self::push`]. Pops at an equal timestamp
-    /// are legal and keep FIFO order via `next_seq`; only a push *behind*
-    /// this stamp is a bug (it would mean an event tried to reach into the
-    /// simulated past) and panics with the event's debug summary.
     last_popped: SimTime,
-    /// Bucket the next lap scan starts from. Committed only at pop time
-    /// (and at resize), which keeps the scan invariant `window start ≤`
-    /// [`Self::now`] `≤ every queued time` true at all times.
-    cursor: usize,
-    /// Exclusive end of the cursor bucket's current year window (u128: the
-    /// window math must not overflow near `SimTime::MAX`).
-    year_end: u128,
-    /// EWMA of nonzero gaps between consecutively popped times; feeds the
-    /// bucket width at the next resize.
-    gap_avg: u64,
-    /// Cached minimum, maintained by pushes and invalidated by pops and
-    /// resizes; `Cell` so [`Self::peek_time`] can memoise its search.
-    hint: Cell<Option<Hint>>,
 }
 
-impl<E> EventQueue<E> {
+impl<E: Debug> DriverQueue<E> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
-        let width = INITIAL_GAP * 2;
-        EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
-            width,
-            len: 0,
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-            cursor: 0,
-            year_end: u128::from(width),
-            gap_avg: INITIAL_GAP,
-            hint: Cell::new(None),
-        }
-    }
-
-    fn bucket_of(&self, time: SimTime) -> usize {
-        ((time.as_nanos() / self.width) as usize) & (self.buckets.len() - 1)
-    }
-
-    fn window_end(&self, time: SimTime) -> u128 {
-        let w = u128::from(self.width);
-        (u128::from(time.as_nanos()) / w + 1) * w
+    pub fn new(kind: SchedulerKind) -> Self {
+        let SchedulerKind::Heap = kind;
+        DriverQueue { heap: BinaryHeap::new(), next_seq: 0, last_popped: SimTime::ZERO }
     }
 
     /// Schedules `event` to fire at `time`.
@@ -152,336 +83,9 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `time` is earlier than the last popped event — scheduling
-    /// into the past is always a simulation bug. The message carries the
-    /// offending event's debug summary alongside the two times.
-    pub fn push(&mut self, time: SimTime, event: E)
-    where
-        E: Debug,
-    {
-        assert!(
-            time >= self.last_popped,
-            "scheduled event at {time} before current time {}: {event:?}",
-            self.last_popped
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.len + 1 > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-        let bucket = self.bucket_of(time);
-        Self::insert_sorted(&mut self.buckets[bucket], Entry { time, seq, event });
-        self.len += 1;
-        if let Some(h) = self.hint.get() {
-            if time < h.time {
-                self.hint.set(Some(Hint { time, bucket }));
-            }
-        } else if self.len == 1 {
-            // Only event in the queue: it is trivially the minimum. The
-            // cursor is NOT moved here — commits happen at pop time only.
-            self.hint.set(Some(Hint { time, bucket }));
-        }
-    }
-
-    /// Inserts keeping the deque sorted by `(time, seq)`. Fresh pushes carry
-    /// the largest `seq` so far, so this walks back only past strictly later
-    /// times — O(1) for the common append case.
-    fn insert_sorted(deque: &mut VecDeque<Entry<E>>, entry: Entry<E>) {
-        let mut pos = deque.len();
-        while pos > 0 {
-            let prev = &deque[pos - 1];
-            if (prev.time, prev.seq) <= (entry.time, entry.seq) {
-                break;
-            }
-            pos -= 1;
-        }
-        deque.insert(pos, entry);
-    }
-
-    /// Locates the bucket holding the global `(time, seq)` minimum: one lap
-    /// from the committed cursor checking each bucket head against its year
-    /// window, then a direct minimum search over all heads (far-future
-    /// fallback). Equal times share a bucket, so the minimal head time is
-    /// unique and identifies the bucket unambiguously.
-    fn locate_min(&self) -> Hint {
-        if let Some(h) = self.hint.get() {
-            return h;
-        }
-        let n = self.buckets.len();
-        let mut top = self.year_end;
-        for i in 0..n {
-            let b = (self.cursor + i) & (n - 1);
-            if let Some(head) = self.buckets[b].front() {
-                if u128::from(head.time.as_nanos()) < top {
-                    let h = Hint { time: head.time, bucket: b };
-                    self.hint.set(Some(h));
-                    return h;
-                }
-            }
-            top += u128::from(self.width);
-        }
-        let mut best: Option<Hint> = None;
-        for (b, q) in self.buckets.iter().enumerate() {
-            if let Some(head) = q.front() {
-                if best.is_none_or(|h| head.time < h.time) {
-                    best = Some(Hint { time: head.time, bucket: b });
-                }
-            }
-        }
-        let Some(h) = best else { unreachable!("locate_min called on an empty queue") };
-        self.hint.set(Some(h));
-        h
-    }
-
-    /// Removes and returns the earliest event, or `None` if the queue is empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_nth(0)
-    }
-
-    /// Removes and returns the `n`-th event (FIFO order) among those tied at
-    /// the earliest pending time; `pop_nth(0)` is exactly [`Self::pop`].
-    /// Returns `None` when the queue is empty or `n` is outside the tie run
-    /// (the queue is untouched in that case). The remaining tied events keep
-    /// their original insertion sequence, so FIFO order among them survives.
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        let Hint { time, bucket } = self.locate_min();
-        // Equal times share a bucket and sort contiguously at its front, so
-        // the tie run occupies positions `0..k` of the min bucket's deque.
-        if self.buckets[bucket].get(n).is_none_or(|e| e.time != time) {
-            return None;
-        }
-        // Commit the cursor: the window start is ≤ the popped time, which
-        // becomes `last_popped`, so every later push lands at or ahead of it.
-        self.cursor = bucket;
-        self.year_end = self.window_end(time);
-        let Some(entry) = self.buckets[bucket].remove(n) else {
-            unreachable!("tie entry vanished from its bucket")
-        };
-        debug_assert!(entry.time == time, "hint disagreed with bucket head");
-        self.len -= 1;
-        let gap = entry.time.as_nanos() - self.last_popped.as_nanos();
-        if gap > 0 {
-            self.gap_avg = (self.gap_avg.saturating_mul(3).saturating_add(gap)) / 4;
-        }
-        self.last_popped = entry.time;
-        self.hint.set(None);
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.resize(self.buckets.len() / 2);
-        } else if let Some(head) = self.buckets[bucket].front() {
-            // The next head of the popped bucket is the global minimum while
-            // it stays inside the committed year window (same argument as
-            // the lap scan's first bucket) — covers bursts and FIFO ties.
-            if u128::from(head.time.as_nanos()) < self.year_end {
-                self.hint.set(Some(Hint { time: head.time, bucket }));
-            }
-        }
-        Some((entry.time, entry.event))
-    }
-
-    /// The `(time, seq)` key of the earliest pending entry, if any. Equal
-    /// times share a bucket and sort contiguously at its front, so the
-    /// located bucket's head *is* the global `(time, seq)` minimum — this
-    /// is what the sharded queue's k-way merge compares across sub-queues.
-    pub(crate) fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        let Hint { bucket, .. } = self.locate_min();
-        self.buckets[bucket].front().map(|e| (e.time, e.seq))
-    }
-
-    /// Schedules `event` at `time` carrying an externally assigned sequence
-    /// number — the sharded queue's global counter. The caller must hand
-    /// out strictly increasing sequences per sub-queue (a global counter
-    /// trivially does), so `insert_sorted` keeps its append fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than this sub-queue's last popped event.
-    pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E)
-    where
-        E: Debug,
-    {
-        assert!(
-            time >= self.last_popped,
-            "scheduled event at {time} before current time {}: {event:?}",
-            self.last_popped
-        );
-        if self.len + 1 > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-        let bucket = self.bucket_of(time);
-        Self::insert_sorted(&mut self.buckets[bucket], Entry { time, seq, event });
-        self.len += 1;
-        if let Some(h) = self.hint.get() {
-            if time < h.time {
-                self.hint.set(Some(Hint { time, bucket }));
-            }
-        } else if self.len == 1 {
-            self.hint.set(Some(Hint { time, bucket }));
-        }
-    }
-
-    /// Number of pending events tied at the earliest time (0 when empty).
-    pub fn tie_count(&self) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        let Hint { time, bucket } = self.locate_min();
-        self.buckets[bucket].iter().take_while(|e| e.time == time).count()
-    }
-
-    /// Visits each head-time tie as `(seq, event)` in FIFO order — the
-    /// sharded queue merges these runs across sub-queues by `seq`.
-    pub(crate) fn for_each_tie_entry<'a>(&'a self, mut f: impl FnMut(u64, &'a E)) {
-        if self.len == 0 {
-            return;
-        }
-        let Hint { time, bucket } = self.locate_min();
-        for entry in self.buckets[bucket].iter().take_while(|e| e.time == time) {
-            f(entry.seq, &entry.event);
-        }
-    }
-
-    /// Visits each event tied at the earliest time, in FIFO order.
-    pub fn for_each_tie(&self, mut f: impl FnMut(&E)) {
-        if self.len == 0 {
-            return;
-        }
-        let Hint { time, bucket } = self.locate_min();
-        for entry in self.buckets[bucket].iter().take_while(|e| e.time == time) {
-            f(&entry.event);
-        }
-    }
-
-    /// Rebuilds the bucket array at `nbuckets` (a power of two), re-deriving
-    /// the width from the pop-gap EWMA so each bucket spans roughly two
-    /// expected events, and re-anchoring the cursor at [`Self::now`].
-    fn resize(&mut self, nbuckets: usize) {
-        debug_assert!(nbuckets.is_power_of_two());
-        self.width = self.gap_avg.saturating_mul(2).max(1);
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        for q in &mut self.buckets {
-            all.extend(q.drain(..));
-        }
-        all.sort_unstable_by_key(|a| (a.time, a.seq));
-        self.buckets = (0..nbuckets).map(|_| VecDeque::new()).collect();
-        for entry in all {
-            let b = self.bucket_of(entry.time);
-            // Entries arrive in (time, seq) order, so push_back keeps every
-            // bucket sorted without a search.
-            self.buckets[b].push_back(entry);
-        }
-        self.cursor = self.bucket_of(self.last_popped);
-        self.year_end = self.window_end(self.last_popped);
-        self.hint.set(None);
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        Some(self.locate_min().time)
-    }
-
-    /// The virtual time of the most recently popped event — the tie stamp
-    /// against which [`Self::push`] enforces monotonicity.
-    ///
-    /// Pushing at exactly `now()` is allowed: the new event sorts after
-    /// everything already popped (its pop is still in the future) and after
-    /// any pending event at the same instant that was pushed earlier (FIFO).
-    /// `now()` never moves backwards; it advances only when `pop` returns an
-    /// event with a strictly later time.
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-
-    /// Number of pending events. This is a live count maintained by
-    /// push/pop, so the driver's high-water mark reads it for free.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Every pending entry as `(time, seq, event)` in `(time, seq)` order —
-    /// the canonical form the snapshot codec stores. Calendar internals
-    /// (bucket layout, width, gap EWMA) are deliberately not part of it:
-    /// they are a performance cache, rebuilt on restore, and the pop order
-    /// depends only on `(time, seq)`.
-    fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut all: Vec<(SimTime, u64, &E)> =
-            self.buckets.iter().flatten().map(|e| (e.time, e.seq, &e.event)).collect();
-        all.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
-        all
-    }
-
-    /// Rebuilds a queue from its canonical snapshot form. Entries must
-    /// arrive in `(time, seq)` order at or after `last_popped`; sequence
-    /// numbers are preserved so FIFO ties replay identically.
-    fn from_restored(last_popped: SimTime, next_seq: u64, entries: Vec<(SimTime, u64, E)>) -> Self
-    where
-        E: Debug,
-    {
-        let mut q = EventQueue::new();
-        q.last_popped = last_popped;
-        q.cursor = q.bucket_of(last_popped);
-        q.year_end = q.window_end(last_popped);
-        for (time, seq, event) in entries {
-            if q.len + 1 > q.buckets.len() * 2 {
-                q.resize(q.buckets.len() * 2);
-            }
-            let bucket = q.bucket_of(time);
-            Self::insert_sorted(&mut q.buckets[bucket], Entry { time, seq, event });
-            q.len += 1;
-        }
-        q.hint.set(None);
-        q.next_seq = next_seq;
-        q
-    }
-}
-
-/// The original `BinaryHeap`-backed queue: same contract as [`EventQueue`]
-/// (time order, FIFO ties, monotonic push), O(log n) push/pop. Kept as the
-/// reference implementation the differential property tests and the
-/// scheduler microbenchmarks compare the calendar queue against.
-#[derive(Debug)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    last_popped: SimTime,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue { heap: BinaryHeap::new(), next_seq: 0, last_popped: SimTime::ZERO }
-    }
-
-    /// Schedules `event` to fire at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the last popped event (with the
-    /// offending event's debug summary, mirroring [`EventQueue::push`]).
-    pub fn push(&mut self, time: SimTime, event: E)
-    where
-        E: Debug,
-    {
+    /// into the past is always a logic error in the caller. The message
+    /// carries the offending event's debug summary.
+    pub fn push(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.last_popped,
             "scheduled event at {time} before current time {}: {event:?}",
@@ -501,9 +105,10 @@ impl<E> HeapQueue<E> {
     }
 
     /// Removes and returns the `n`-th event (FIFO order) among those tied at
-    /// the earliest pending time (see [`EventQueue::pop_nth`]). The other
-    /// tied entries are re-inserted with their original sequence numbers, so
-    /// FIFO order among the survivors is preserved.
+    /// the earliest pending time; `pop_nth(0)` is exactly [`Self::pop`].
+    /// The other tied entries keep their sequence numbers, so FIFO order
+    /// among the survivors is preserved. Returns `None` (removing nothing)
+    /// if the queue is empty or `n` is not below [`Self::tie_count`].
     pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
         let time = self.heap.peek()?.time;
         // The heap pops `(time, seq)` ascending, so draining the tie run
@@ -533,7 +138,8 @@ impl<E> HeapQueue<E> {
         self.heap.iter().filter(|e| e.time == head.time).count()
     }
 
-    /// Visits each event tied at the earliest time, in FIFO order.
+    /// Visits each event tied at the earliest time, in FIFO order — the
+    /// order `pop_nth` indexes.
     pub fn for_each_tie(&self, mut f: impl FnMut(&E)) {
         let Some(head) = self.heap.peek() else { return };
         let mut tied: Vec<&Entry<E>> = self.heap.iter().filter(|e| e.time == head.time).collect();
@@ -548,8 +154,8 @@ impl<E> HeapQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// The virtual time of the most recently popped event (see
-    /// [`EventQueue::now`] for the tie-stamp semantics).
+    /// The virtual time of the most recently popped event (`SimTime::ZERO`
+    /// before the first pop).
     pub fn now(&self) -> SimTime {
         self.last_popped
     }
@@ -565,528 +171,27 @@ impl<E> HeapQueue<E> {
     }
 }
 
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// Pending entries in `(time, seq)` order (see
-    /// [`EventQueue::snapshot_entries`]).
-    fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut all: Vec<(SimTime, u64, &E)> =
-            self.heap.iter().map(|e| (e.time, e.seq, &e.event)).collect();
-        all.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
-        all
-    }
-
-    /// Rebuilds a queue from its canonical snapshot form with sequence
-    /// numbers preserved.
-    fn from_restored(last_popped: SimTime, next_seq: u64, entries: Vec<(SimTime, u64, E)>) -> Self {
-        let heap =
-            entries.into_iter().map(|(time, seq, event)| Entry { time, seq, event }).collect();
-        HeapQueue { heap, next_seq, last_popped }
-    }
-}
-
-/// Default sub-queue count for a [`ShardedQueue`] created without an
-/// explicit shard count (matches the 4-shard target of the PDES bench).
-pub const DEFAULT_SHARDS: usize = 4;
-
-/// Largest shard count the sharded queue accepts (its snapshot codec tags
-/// each entry's home shard with one byte).
-pub const MAX_SHARDS: usize = 255;
-
-/// The conservative-PDES event queue: one calendar sub-queue per shard,
-/// all sharing a single global sequence counter, popped by a k-way merge
-/// on `(time, seq)` across the sub-queue heads.
-///
-/// # Determinism by construction
-///
-/// `(time, seq)` totally orders events, and `seq` is assigned at push time
-/// exactly as the serial queues assign it — one global counter, one
-/// increment per push. Routing (which sub-queue physically holds an entry)
-/// therefore decides *load balance only*: the merged pop order equals the
-/// serial calendar queue's for **any** routing function, and a shard count
-/// of 1 *is* the calendar queue. This is the deterministic reduction point
-/// of the sharded driver — cross-shard deliveries are ordinary timestamped
-/// pushes into the receiver's home sub-queue, merged back here.
-///
-/// # Example
-///
-/// ```
-/// use sim_core::{ShardedQueue, SimTime};
-///
-/// let mut q = ShardedQueue::new(2);
-/// let t = SimTime::from_nanos(10);
-/// q.push_routed(t, 'a', 0);
-/// q.push_routed(t, 'b', 1); // different shard, same instant
-/// assert_eq!(q.pop(), Some((t, 'a'))); // FIFO across shards
-/// assert_eq!(q.pop(), Some((t, 'b')));
-/// ```
-#[derive(Debug)]
-pub struct ShardedQueue<E> {
-    shards: Vec<EventQueue<E>>,
-    /// The single global push counter all sub-queues share.
-    next_seq: u64,
-    /// Time of the most recent merged pop (the global "now").
-    last_popped: SimTime,
-    len: usize,
-    /// Sub-queue that served the most recent pop (per-shard accounting).
-    last_shard: usize,
-}
-
-impl<E> ShardedQueue<E> {
-    /// Creates an empty queue with `shards` sub-queues (clamped to at
-    /// least 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` exceeds [`MAX_SHARDS`].
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        assert!(shards <= MAX_SHARDS, "shard count {shards} exceeds {MAX_SHARDS}");
-        ShardedQueue {
-            shards: (0..shards).map(|_| EventQueue::new()).collect(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-            len: 0,
-            last_shard: 0,
-        }
-    }
-
-    /// Number of sub-queues.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Sub-queue that served the most recent [`Self::pop`] (0 before any).
-    pub fn last_shard(&self) -> usize {
-        self.last_shard
-    }
-
-    /// Schedules `event` at `time` in sub-queue `shard % shard_count`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the last merged pop.
-    pub fn push_routed(&mut self, time: SimTime, event: E, shard: usize)
-    where
-        E: Debug,
-    {
-        assert!(
-            time >= self.last_popped,
-            "scheduled event at {time} before current time {}: {event:?}",
-            self.last_popped
-        );
-        let s = shard % self.shards.len();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.shards[s].push_with_seq(time, seq, event);
-        self.len += 1;
-    }
-
-    /// Schedules `event` at `time`, spreading routing round-robin (callers
-    /// that know an owner shard should use [`Self::push_routed`]; the
-    /// choice affects only which sub-queue holds the entry, never the pop
-    /// order).
-    pub fn push(&mut self, time: SimTime, event: E)
-    where
-        E: Debug,
-    {
-        let shard = (self.next_seq as usize) % self.shards.len();
-        self.push_routed(time, event, shard);
-    }
-
-    /// Sub-queue holding the globally earliest `(time, seq)` entry.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, q) in self.shards.iter().enumerate() {
-            if let Some((time, seq)) = q.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (time, seq) < (bt, bs)) {
-                    best = Some((time, seq, s));
-                }
-            }
-        }
-        best.map(|(_, _, s)| s)
-    }
-
-    /// Removes and returns the earliest event across all sub-queues.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.min_shard()?;
-        let popped = self.shards[s].pop()?;
-        self.len -= 1;
-        self.last_popped = popped.0;
-        self.last_shard = s;
-        Some(popped)
-    }
-
-    /// Head-time ties across all sub-queues as `(seq, shard)`, ascending by
-    /// `seq` — the merged FIFO run the tie-order hook sees.
-    fn merged_ties(&self) -> Vec<(u64, usize)> {
-        let Some(time) = self.peek_time() else { return Vec::new() };
-        let mut ties: Vec<(u64, usize)> = Vec::new();
-        for (s, q) in self.shards.iter().enumerate() {
-            if q.peek_time() == Some(time) {
-                q.for_each_tie_entry(|seq, _| ties.push((seq, s)));
-            }
-        }
-        ties.sort_unstable();
-        ties
-    }
-
-    /// Removes and returns the `n`-th event (global FIFO order) among those
-    /// tied at the earliest pending time (see [`EventQueue::pop_nth`]).
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
-        let ties = self.merged_ties();
-        let &(seq, shard) = ties.get(n)?;
-        // The shard's own tie run is seq-ascending, so the local index is
-        // how many of its tied entries precede `seq` in the merged run.
-        let local = ties[..n].iter().filter(|&&(_, s)| s == shard).count();
-        debug_assert!({
-            let mut kth = None;
-            let mut i = 0;
-            self.shards[shard].for_each_tie_entry(|s, _| {
-                if i == local {
-                    kth = Some(s);
-                }
-                i += 1;
-            });
-            kth == Some(seq)
-        });
-        let popped = self.shards[shard].pop_nth(local)?;
-        self.len -= 1;
-        self.last_popped = popped.0;
-        self.last_shard = shard;
-        Some(popped)
-    }
-
-    /// Number of pending events tied at the earliest time (0 when empty).
-    pub fn tie_count(&self) -> usize {
-        let Some(time) = self.peek_time() else { return 0 };
-        self.shards.iter().filter(|q| q.peek_time() == Some(time)).map(|q| q.tie_count()).sum()
-    }
-
-    /// Visits each event tied at the earliest time, in global FIFO order
-    /// (merged across sub-queues by `seq`).
-    pub fn for_each_tie(&self, mut f: impl FnMut(&E)) {
-        let Some(time) = self.peek_time() else { return };
-        let mut ties: Vec<(u64, &E)> = Vec::new();
-        for q in &self.shards {
-            if q.peek_time() == Some(time) {
-                q.for_each_tie_entry(|seq, e| ties.push((seq, e)));
-            }
-        }
-        ties.sort_unstable_by_key(|&(seq, _)| seq);
-        for (_, e) in ties {
-            f(e);
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<(SimTime, u64)> = None;
-        for q in &self.shards {
-            if let Some(key) = q.peek_key() {
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(time, _)| time)
-    }
-
-    /// The virtual time of the most recent merged pop (see
-    /// [`EventQueue::now`]).
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-
-    /// Number of pending events across all sub-queues.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl<E> ShardedQueue<E> {
-    /// Pending entries as `(time, seq, shard, event)` in `(time, seq)`
-    /// order — the canonical snapshot form, which must also record each
-    /// entry's home sub-queue so a restore rebuilds the same placement.
-    fn snapshot_entries(&self) -> Vec<(SimTime, u64, usize, &E)> {
-        let mut all: Vec<(SimTime, u64, usize, &E)> = Vec::with_capacity(self.len);
-        for (s, q) in self.shards.iter().enumerate() {
-            all.extend(q.snapshot_entries().into_iter().map(|(time, seq, e)| (time, seq, s, e)));
-        }
-        all.sort_unstable_by_key(|&(time, seq, _, _)| (time, seq));
-        all
-    }
-
-    /// Rebuilds a queue from its canonical snapshot form. Entries must
-    /// arrive in `(time, seq)` order with valid shard tags.
-    fn from_restored(
-        shard_count: usize,
-        last_popped: SimTime,
-        next_seq: u64,
-        entries: Vec<(SimTime, u64, usize, E)>,
-    ) -> Self
-    where
-        E: Debug,
-    {
-        let len = entries.len();
-        let mut per_shard: Vec<Vec<(SimTime, u64, E)>> =
-            (0..shard_count.max(1)).map(|_| Vec::new()).collect();
-        for (time, seq, shard, event) in entries {
-            per_shard[shard].push((time, seq, event));
-        }
-        let shards = per_shard
-            .into_iter()
-            .map(|entries| EventQueue::from_restored(last_popped, next_seq, entries))
-            .collect();
-        ShardedQueue { shards, next_seq, last_popped, len, last_shard: 0 }
-    }
-}
-
-/// Which scheduler backs a simulation's event queue.
-///
-/// All kinds are contractually identical (the scenario corpus asserts equal
-/// trace hashes across them); `Heap` exists so benchmarks and differential
-/// tests can run the reference implementation end to end, and `Sharded`
-/// partitions the queue into per-shard sub-queues for the conservative
-/// parallel driver while preserving the serial pop order by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The calendar queue — the default, O(1) amortised.
-    #[default]
-    Calendar,
-    /// The reference `BinaryHeap`, O(log n).
-    Heap,
-    /// Per-shard calendar sub-queues merged on `(time, seq)` — the
-    /// conservative parallel driver's queue. Bit-identical to `Calendar`.
-    Sharded,
-}
-
-/// An event queue dispatching on [`SchedulerKind`] at runtime, so a driver
-/// can be steered onto either scheduler by configuration.
-#[derive(Debug)]
-pub enum DriverQueue<E> {
-    /// Backed by the calendar queue.
-    Calendar(EventQueue<E>),
-    /// Backed by the reference heap.
-    Heap(HeapQueue<E>),
-    /// Backed by per-shard calendar sub-queues with a merged pop.
-    Sharded(ShardedQueue<E>),
-}
-
-impl<E: Debug> DriverQueue<E> {
-    /// Creates an empty queue backed by `kind` (`Sharded` gets
-    /// [`DEFAULT_SHARDS`] sub-queues; use [`Self::new_sharded`] for an
-    /// explicit count).
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Calendar => DriverQueue::Calendar(EventQueue::new()),
-            SchedulerKind::Heap => DriverQueue::Heap(HeapQueue::new()),
-            SchedulerKind::Sharded => DriverQueue::Sharded(ShardedQueue::new(DEFAULT_SHARDS)),
-        }
-    }
-
-    /// Creates an empty sharded queue with `shards` sub-queues.
-    pub fn new_sharded(shards: usize) -> Self {
-        DriverQueue::Sharded(ShardedQueue::new(shards))
-    }
-
-    /// Schedules `event` at `time`; panics on non-monotonic times.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        match self {
-            DriverQueue::Calendar(q) => q.push(time, event),
-            DriverQueue::Heap(q) => q.push(time, event),
-            DriverQueue::Sharded(q) => q.push(time, event),
-        }
-    }
-
-    /// Schedules `event` at `time` with a routing hint: the sharded queue
-    /// places it in sub-queue `shard % shard_count` (the event owner's home
-    /// shard), the serial queues ignore the hint. Routing never changes pop
-    /// order — only which sub-queue carries the entry.
-    pub fn push_routed(&mut self, time: SimTime, event: E, shard: usize) {
-        match self {
-            DriverQueue::Calendar(q) => q.push(time, event),
-            DriverQueue::Heap(q) => q.push(time, event),
-            DriverQueue::Sharded(q) => q.push_routed(time, event, shard),
-        }
-    }
-
-    /// Number of sub-queues (1 for the serial kinds).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            DriverQueue::Sharded(q) => q.shard_count(),
-            _ => 1,
-        }
-    }
-
-    /// Sub-queue that served the most recent pop (0 for the serial kinds).
-    pub fn last_shard(&self) -> usize {
-        match self {
-            DriverQueue::Sharded(q) => q.last_shard(),
-            _ => 0,
-        }
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            DriverQueue::Calendar(q) => q.pop(),
-            DriverQueue::Heap(q) => q.pop(),
-            DriverQueue::Sharded(q) => q.pop(),
-        }
-    }
-
-    /// Removes and returns the `n`-th event (FIFO order) among those tied at
-    /// the earliest time; `pop_nth(0)` is exactly [`Self::pop`]. See
-    /// [`EventQueue::pop_nth`].
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
-        match self {
-            DriverQueue::Calendar(q) => q.pop_nth(n),
-            DriverQueue::Heap(q) => q.pop_nth(n),
-            DriverQueue::Sharded(q) => q.pop_nth(n),
-        }
-    }
-
-    /// Number of pending events tied at the earliest time (0 when empty).
-    pub fn tie_count(&self) -> usize {
-        match self {
-            DriverQueue::Calendar(q) => q.tie_count(),
-            DriverQueue::Heap(q) => q.tie_count(),
-            DriverQueue::Sharded(q) => q.tie_count(),
-        }
-    }
-
-    /// Visits each event tied at the earliest time, in FIFO order.
-    pub fn for_each_tie(&self, f: impl FnMut(&E)) {
-        match self {
-            DriverQueue::Calendar(q) => q.for_each_tie(f),
-            DriverQueue::Heap(q) => q.for_each_tie(f),
-            DriverQueue::Sharded(q) => q.for_each_tie(f),
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            DriverQueue::Calendar(q) => q.peek_time(),
-            DriverQueue::Heap(q) => q.peek_time(),
-            DriverQueue::Sharded(q) => q.peek_time(),
-        }
-    }
-
-    /// The virtual time of the most recently popped event.
-    pub fn now(&self) -> SimTime {
-        match self {
-            DriverQueue::Calendar(q) => q.now(),
-            DriverQueue::Heap(q) => q.now(),
-            DriverQueue::Sharded(q) => q.now(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            DriverQueue::Calendar(q) => q.len(),
-            DriverQueue::Heap(q) => q.len(),
-            DriverQueue::Sharded(q) => q.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
+    /// Layout: `now`, the next sequence number, then the pending entries
+    /// in canonical `(time, seq)` order, each as `time, seq, event`.
     fn encode(&self, w: &mut crate::SnapshotWriter) {
-        // Kind tag 2 (sharded) extends the serial layout with the shard
-        // count up front and a one-byte home-shard tag per entry; entries
-        // stay in the canonical merged `(time, seq)` order.
-        if let DriverQueue::Sharded(q) = self {
-            w.put_u8(2);
-            w.put_usize(q.shard_count());
-            w.put(&q.last_popped);
-            w.put_u64(q.next_seq);
-            let entries = q.snapshot_entries();
-            w.put_usize(entries.len());
-            for (time, seq, shard, event) in entries {
-                w.put(&time);
-                w.put_u64(seq);
-                w.put_u8(shard as u8);
-                event.encode(w);
-            }
-            return;
-        }
-        let (kind, last_popped, next_seq, entries) = match self {
-            DriverQueue::Calendar(q) => (0u8, q.last_popped, q.next_seq, q.snapshot_entries()),
-            DriverQueue::Heap(q) => (1u8, q.last_popped, q.next_seq, q.snapshot_entries()),
-            DriverQueue::Sharded(_) => unreachable!("handled above"),
-        };
-        w.put_u8(kind);
-        w.put(&last_popped);
-        w.put_u64(next_seq);
+        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
+        entries.sort_unstable_by_key(|e| (e.time, e.seq));
+        w.put(&self.last_popped);
+        w.put_u64(self.next_seq);
         w.put_usize(entries.len());
-        for (time, seq, event) in entries {
-            w.put(&time);
-            w.put_u64(seq);
-            event.encode(w);
+        for entry in entries {
+            w.put(&entry.time);
+            w.put_u64(entry.seq);
+            entry.event.encode(w);
         }
     }
 
     fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        let kind = r.take_u8()?;
-        if kind == 2 {
-            let shard_count = r.take_usize()?;
-            if shard_count == 0 || shard_count > MAX_SHARDS {
-                return Err(crate::SnapError::Invalid("shard count"));
-            }
-            let last_popped: SimTime = r.get()?;
-            let next_seq = r.take_u64()?;
-            let count = r.take_usize()?;
-            let mut entries: Vec<(SimTime, u64, usize, E)> = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                let time: SimTime = r.get()?;
-                let seq = r.take_u64()?;
-                let shard = usize::from(r.take_u8()?);
-                let event = E::decode(r)?;
-                if time < last_popped {
-                    return Err(crate::SnapError::Invalid("queued event before now"));
-                }
-                if seq >= next_seq {
-                    return Err(crate::SnapError::Invalid("queued event seq from the future"));
-                }
-                if shard >= shard_count {
-                    return Err(crate::SnapError::Invalid("entry shard out of range"));
-                }
-                if let Some(&(pt, ps, _, _)) = entries.last() {
-                    if (time, seq) <= (pt, ps) {
-                        return Err(crate::SnapError::Invalid("queue entries out of order"));
-                    }
-                }
-                entries.push((time, seq, shard, event));
-            }
-            return Ok(DriverQueue::Sharded(ShardedQueue::from_restored(
-                shard_count,
-                last_popped,
-                next_seq,
-                entries,
-            )));
-        }
         let last_popped: SimTime = r.get()?;
         let next_seq = r.take_u64()?;
         let count = r.take_usize()?;
-        let mut entries: Vec<(SimTime, u64, E)> = Vec::with_capacity(count.min(4096));
+        let mut entries: Vec<Entry<E>> = Vec::with_capacity(count.min(4096));
         for _ in 0..count {
             let time: SimTime = r.get()?;
             let seq = r.take_u64()?;
@@ -1097,34 +202,31 @@ impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
             if seq >= next_seq {
                 return Err(crate::SnapError::Invalid("queued event seq from the future"));
             }
-            if let Some(&(pt, ps, _)) = entries.last() {
-                if (time, seq) <= (pt, ps) {
-                    return Err(crate::SnapError::Invalid("queue entries out of order"));
-                }
+            if entries.last().is_some_and(|p| (time, seq) <= (p.time, p.seq)) {
+                return Err(crate::SnapError::Invalid("queue entries out of order"));
             }
-            entries.push((time, seq, event));
+            entries.push(Entry { time, seq, event });
         }
-        match kind {
-            0 => {
-                Ok(DriverQueue::Calendar(EventQueue::from_restored(last_popped, next_seq, entries)))
-            }
-            1 => Ok(DriverQueue::Heap(HeapQueue::from_restored(last_popped, next_seq, entries))),
-            _ => Err(crate::SnapError::Invalid("scheduler kind tag")),
-        }
+        Ok(DriverQueue { heap: BinaryHeap::from(entries), next_seq, last_popped })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Snapshotable;
 
     fn t(n: u64) -> SimTime {
         SimTime::from_nanos(n)
     }
 
+    fn queue<E: Debug>() -> DriverQueue<E> {
+        DriverQueue::new(SchedulerKind::Heap)
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = queue();
         q.push(t(30), 3);
         q.push(t(10), 1);
         q.push(t(20), 2);
@@ -1136,7 +238,7 @@ mod tests {
 
     #[test]
     fn ties_pop_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = queue();
         for i in 0..100 {
             q.push(t(5), i);
         }
@@ -1147,7 +249,7 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_keeps_order() {
-        let mut q = EventQueue::new();
+        let mut q = queue();
         q.push(t(10), 'a');
         assert_eq!(q.pop(), Some((t(10), 'a')));
         q.push(t(10), 'b'); // same instant as "now" is allowed
@@ -1159,7 +261,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "before current time")]
     fn scheduling_into_past_panics() {
-        let mut q = EventQueue::new();
+        let mut q = queue();
         q.push(t(10), ());
         q.pop();
         q.push(t(9), ());
@@ -1168,7 +270,7 @@ mod tests {
     #[test]
     fn past_panic_names_the_event() {
         let caught = std::panic::catch_unwind(|| {
-            let mut q = EventQueue::new();
+            let mut q = queue();
             q.push(t(10), "late-rto");
             q.pop();
             q.push(t(9), "late-rto");
@@ -1180,7 +282,7 @@ mod tests {
 
     #[test]
     fn now_and_len_track_state() {
-        let mut q = EventQueue::new();
+        let mut q = queue();
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::ZERO);
         q.push(t(42), ());
@@ -1193,320 +295,133 @@ mod tests {
     }
 
     #[test]
-    fn far_future_jump_then_near_pushes() {
-        // A pop far in the future commits the cursor out there; pushes at
-        // (or just after) the new `now` must still be found by the scan.
-        let mut q = EventQueue::new();
-        q.push(t(10_000_000_000), 'f'); // +10 s
-        assert_eq!(q.pop(), Some((t(10_000_000_000), 'f')));
-        q.push(t(10_000_000_000), 'a'); // exactly at now
-        q.push(t(10_000_000_001), 'b');
-        q.push(t(10_000_500_000), 'c');
-        assert_eq!(q.pop(), Some((t(10_000_000_000), 'a')));
-        assert_eq!(q.pop(), Some((t(10_000_000_001), 'b')));
-        assert_eq!(q.pop(), Some((t(10_000_500_000), 'c')));
-    }
-
-    #[test]
-    fn grow_and_shrink_preserve_order() {
-        // Push enough to force several grows, drain to force shrinks, with
-        // deliberately colliding times so sorted-insert paths are exercised.
-        let mut q = EventQueue::new();
-        let mut expect = Vec::new();
-        for i in 0u64..5_000 {
-            let time = t((i * 7919) % 1_000 * 1_000);
-            q.push(time, i);
-            expect.push((time, i));
-        }
-        assert!(q.buckets.len() > MIN_BUCKETS, "growth heuristic never fired");
-        expect.sort_by_key(|&(time, i)| (time, i));
-        for (time, i) in expect {
-            assert_eq!(q.pop(), Some((time, i)));
-        }
-        assert_eq!(q.buckets.len(), MIN_BUCKETS, "drained queue should shrink back");
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn matches_heap_reference_on_mixed_workload() {
-        // Deterministic pseudo-random interleaving of pushes and pops,
-        // including ties and multi-year spreads, checked pop-for-pop
-        // against the reference heap.
-        let mut cal = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let step = |s: &mut u64| {
-            *s ^= *s << 13;
-            *s ^= *s >> 7;
-            *s ^= *s << 17;
-            *s
-        };
-        for i in 0..20_000u64 {
-            let r = step(&mut state);
-            if r % 100 < 65 {
-                let base = cal.now().as_nanos();
-                let delta = match r % 3 {
-                    0 => r % 50,                // tie-heavy
-                    1 => r % 1_000_000,         // in-year
-                    _ => 1_000_000_000 + r % 7, // far future
-                };
-                cal.push(t(base + delta), i);
-                heap.push(t(base + delta), i);
-            } else {
-                assert_eq!(cal.pop(), heap.pop());
-                assert_eq!(cal.now(), heap.now());
-            }
-            assert_eq!(cal.len(), heap.len());
-            assert_eq!(cal.peek_time(), heap.peek_time());
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn heap_queue_keeps_contract() {
-        let mut q = HeapQueue::new();
-        q.push(t(5), 'b');
-        q.push(t(1), 'a');
-        q.push(t(5), 'c');
-        assert_eq!(q.peek_time(), Some(t(1)));
-        assert_eq!(q.pop(), Some((t(1), 'a')));
-        assert_eq!(q.pop(), Some((t(5), 'b')));
-        assert_eq!(q.pop(), Some((t(5), 'c')));
-        assert_eq!(q.now(), t(5));
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn tie_count_and_for_each_tie_see_the_fifo_run() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap, SchedulerKind::Sharded] {
-            let mut q = DriverQueue::new(kind);
-            assert_eq!(q.tie_count(), 0);
-            q.push(t(10), 'a');
-            q.push(t(10), 'b');
-            q.push(t(10), 'c');
-            q.push(t(20), 'z');
-            assert_eq!(q.tie_count(), 3);
-            let mut seen = Vec::new();
-            q.for_each_tie(|&e| seen.push(e));
-            assert_eq!(seen, vec!['a', 'b', 'c'], "{kind:?}: ties must visit in FIFO order");
-            q.pop();
-            assert_eq!(q.tie_count(), 2);
-            q.pop();
-            q.pop();
-            assert_eq!(q.tie_count(), 1, "{kind:?}: a lone head is a tie run of one");
-        }
+        let mut q = queue();
+        assert_eq!(q.tie_count(), 0);
+        q.push(t(10), 'a');
+        q.push(t(10), 'b');
+        q.push(t(10), 'c');
+        q.push(t(20), 'z');
+        assert_eq!(q.tie_count(), 3);
+        let mut seen = Vec::new();
+        q.for_each_tie(|&e| seen.push(e));
+        assert_eq!(seen, vec!['a', 'b', 'c'], "ties must visit in FIFO order");
+        q.pop();
+        assert_eq!(q.tie_count(), 2);
+        q.pop();
+        q.pop();
+        assert_eq!(q.tie_count(), 1, "a lone head is a tie run of one");
     }
 
     #[test]
     fn pop_nth_picks_one_tie_and_keeps_fifo_for_the_rest() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap, SchedulerKind::Sharded] {
-            let mut q = DriverQueue::new(kind);
-            for e in ['a', 'b', 'c', 'd'] {
-                q.push(t(10), e);
-            }
-            q.push(t(20), 'z');
-            assert_eq!(q.pop_nth(2), Some((t(10), 'c')), "{kind:?}");
-            assert_eq!(q.pop_nth(4), None, "{kind:?}: out-of-run index must not pop");
-            assert_eq!(q.len(), 4, "{kind:?}: failed pop_nth must not lose events");
-            assert_eq!(q.pop(), Some((t(10), 'a')), "{kind:?}");
-            assert_eq!(q.pop(), Some((t(10), 'b')), "{kind:?}");
-            assert_eq!(q.pop(), Some((t(10), 'd')), "{kind:?}");
-            assert_eq!(q.pop(), Some((t(20), 'z')), "{kind:?}");
-            // Pushing at `now` after a pop_nth keeps working (cursor committed).
-            q.push(t(20), 'y');
-            assert_eq!(q.pop_nth(0), Some((t(20), 'y')), "{kind:?}");
+        let mut q = queue();
+        for e in ['a', 'b', 'c', 'd'] {
+            q.push(t(10), e);
         }
-    }
-
-    #[test]
-    fn pop_nth_zero_is_exactly_pop() {
-        // Same deterministic mixed workload on four queues: two popped with
-        // `pop()`, two with `pop_nth(0)` — every observation must agree.
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap, SchedulerKind::Sharded] {
-            let mut plain = DriverQueue::new(kind);
-            let mut nth = DriverQueue::new(kind);
-            let mut state = 0xdeadbeefu64;
-            let step = |s: &mut u64| {
-                *s ^= *s << 13;
-                *s ^= *s >> 7;
-                *s ^= *s << 17;
-                *s
-            };
-            for i in 0..5_000u64 {
-                let r = step(&mut state);
-                if r % 10 < 6 {
-                    let base = plain.now().as_nanos();
-                    let delta = if r % 2 == 0 { r % 20 } else { r % 500_000 };
-                    plain.push(t(base + delta), i);
-                    nth.push(t(base + delta), i);
-                } else {
-                    assert_eq!(plain.pop(), nth.pop_nth(0), "{kind:?}");
-                    assert_eq!(plain.now(), nth.now(), "{kind:?}");
-                    assert_eq!(plain.peek_time(), nth.peek_time(), "{kind:?}");
-                }
-            }
-            loop {
-                let (a, b) = (plain.pop(), nth.pop_nth(0));
-                assert_eq!(a, b, "{kind:?}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn driver_queue_dispatches_both_kinds() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap, SchedulerKind::Sharded] {
-            let mut q = DriverQueue::new(kind);
-            q.push(t(20), 'y');
-            q.push(t(10), 'x');
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(t(10)));
-            assert_eq!(q.pop(), Some((t(10), 'x')));
-            assert_eq!(q.now(), t(10));
-            assert_eq!(q.pop(), Some((t(20), 'y')));
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn sharded_pops_fifo_across_shards() {
-        // Ties spread over different home shards must still pop in global
-        // push order: the shared seq counter is the only tiebreak.
-        let mut q = ShardedQueue::new(4);
-        for (i, shard) in [2usize, 0, 3, 1, 2, 0].into_iter().enumerate() {
-            q.push_routed(t(10), i, shard);
-        }
-        q.push_routed(t(5), 99, 3);
-        assert_eq!(q.pop(), Some((t(5), 99)));
-        for i in 0..6 {
-            assert_eq!(q.pop(), Some((t(10), i)));
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.now(), t(10));
-    }
-
-    #[test]
-    fn sharded_matches_calendar_for_any_routing() {
-        // The pop stream must be independent of the routing function — it
-        // only decides which sub-queue holds an entry, never its rank.
-        for shards in [1usize, 2, 4, 7] {
-            let mut sharded = ShardedQueue::new(shards);
-            let mut cal = EventQueue::new();
-            let mut state = 0xabcdefu64;
-            let step = |s: &mut u64| {
-                *s ^= *s << 13;
-                *s ^= *s >> 7;
-                *s ^= *s << 17;
-                *s
-            };
-            for i in 0..10_000u64 {
-                let r = step(&mut state);
-                if r % 10 < 6 {
-                    let base = cal.now().as_nanos();
-                    let delta = if r % 2 == 0 { r % 30 } else { r % 400_000 };
-                    sharded.push_routed(t(base + delta), i, (r % 11) as usize);
-                    cal.push(t(base + delta), i);
-                } else {
-                    assert_eq!(sharded.pop(), cal.pop(), "shards={shards}");
-                    assert_eq!(sharded.now(), cal.now(), "shards={shards}");
-                }
-                assert_eq!(sharded.len(), cal.len(), "shards={shards}");
-                assert_eq!(sharded.peek_time(), cal.peek_time(), "shards={shards}");
-                assert_eq!(sharded.tie_count(), cal.tie_count(), "shards={shards}");
-            }
-            loop {
-                let (a, b) = (sharded.pop(), cal.pop());
-                assert_eq!(a, b, "shards={shards}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_tie_introspection_merges_in_seq_order() {
-        let mut q = ShardedQueue::new(3);
-        q.push_routed(t(10), 'a', 2);
-        q.push_routed(t(10), 'b', 0);
-        q.push_routed(t(10), 'c', 2);
-        q.push_routed(t(10), 'd', 1);
-        q.push_routed(t(20), 'z', 0);
-        assert_eq!(q.tie_count(), 4);
-        let mut seen = Vec::new();
-        q.for_each_tie(|&e| seen.push(e));
-        assert_eq!(seen, vec!['a', 'b', 'c', 'd']);
+        q.push(t(20), 'z');
         assert_eq!(q.pop_nth(2), Some((t(10), 'c')));
-        assert_eq!(q.pop_nth(3), None, "out-of-run index must not pop");
+        assert_eq!(q.pop_nth(4), None, "out-of-run index must not pop");
+        assert_eq!(q.len(), 4, "failed pop_nth must not lose events");
         assert_eq!(q.pop(), Some((t(10), 'a')));
         assert_eq!(q.pop(), Some((t(10), 'b')));
         assert_eq!(q.pop(), Some((t(10), 'd')));
         assert_eq!(q.pop(), Some((t(20), 'z')));
-        assert!(q.is_empty());
+        q.push(t(20), 'y');
+        assert_eq!(q.pop_nth(0), Some((t(20), 'y')));
     }
 
     #[test]
-    fn sharded_last_shard_reports_pop_origin() {
-        let mut q = ShardedQueue::new(4);
-        q.push_routed(t(1), 'a', 3);
-        q.push_routed(t(2), 'b', 1);
-        q.pop();
-        assert_eq!(q.last_shard(), 3);
-        q.pop();
-        assert_eq!(q.last_shard(), 1);
-    }
-
-    #[test]
-    fn sharded_driver_snapshot_round_trip() {
-        use crate::Snapshotable;
-        let mut q: DriverQueue<u64> = DriverQueue::new_sharded(3);
-        let mut state = 0x1234_5678u64;
+    fn pop_nth_zero_is_exactly_pop() {
+        // Same deterministic mixed workload on two queues: one popped with
+        // `pop()`, one with `pop_nth(0)` — every observation must agree.
+        let mut plain = queue();
+        let mut nth = queue();
+        let mut state = 0xdeadbeefu64;
         let step = |s: &mut u64| {
             *s ^= *s << 13;
             *s ^= *s >> 7;
             *s ^= *s << 17;
             *s
         };
-        for i in 0..500u64 {
+        for i in 0..5_000u64 {
             let r = step(&mut state);
-            let base = q.now().as_nanos();
-            q.push_routed(t(base + r % 1_000), i, (r % 5) as usize);
-            if r % 3 == 0 {
-                q.pop();
+            if r % 10 < 6 {
+                let base = plain.now().as_nanos();
+                let delta = if r % 2 == 0 { r % 20 } else { r % 500_000 };
+                plain.push(t(base + delta), i);
+                nth.push(t(base + delta), i);
+            } else {
+                assert_eq!(plain.pop(), nth.pop_nth(0));
+                assert_eq!(plain.now(), nth.now());
+                assert_eq!(plain.peek_time(), nth.peek_time());
             }
         }
-        let mut w = crate::SnapshotWriter::new();
-        q.encode(&mut w);
-        let bytes = w.finish();
-        let mut r = crate::SnapshotReader::new(&bytes);
-        let mut restored: DriverQueue<u64> = DriverQueue::decode(&mut r).unwrap();
-        assert_eq!(restored.shard_count(), 3);
-        assert_eq!(restored.len(), q.len());
-        // Drain both twins and in parallel feed identical fresh pushes: the
-        // restored queue must be observationally identical, seqs included.
-        let mut i = 10_000u64;
         loop {
-            let (a, b) = (q.pop(), restored.pop());
+            let (a, b) = (plain.pop(), nth.pop_nth(0));
             assert_eq!(a, b);
-            assert_eq!(q.last_shard(), restored.last_shard());
             if a.is_none() {
                 break;
             }
-            if i < 10_020 {
-                let at = t(q.now().as_nanos() + 7);
-                q.push_routed(at, i, 2);
-                restored.push_routed(at, i, 2);
-                i += 1;
+        }
+    }
+
+    fn encode(q: &DriverQueue<u64>) -> Vec<u8> {
+        let mut w = crate::SnapshotWriter::new();
+        q.encode(&mut w);
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<DriverQueue<u64>, crate::SnapError> {
+        DriverQueue::decode(&mut crate::SnapshotReader::new(bytes))
+    }
+
+    #[test]
+    fn snapshot_round_trip_keeps_seqs() {
+        let mut q = queue();
+        for (i, at) in [30u64, 10, 10, 20, 10].into_iter().enumerate() {
+            q.push(t(at), i as u64);
+        }
+        q.pop();
+        let mut restored = decode(&encode(&q)).unwrap();
+        assert_eq!(restored.now(), q.now());
+        // Fresh pushes after the restore must tie-break exactly as in the
+        // original: the sequence counter travels with the snapshot.
+        q.push(t(20), 99);
+        restored.push(t(20), 99);
+        loop {
+            let (a, b) = (q.pop(), restored.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
             }
         }
+    }
+
+    #[test]
+    fn snapshot_decode_validates_entries() {
+        let entry = |w: &mut crate::SnapshotWriter, time: u64, seq: u64| {
+            w.put(&t(time));
+            w.put_u64(seq);
+            w.put_u64(0);
+        };
+        let build = |now: u64, next_seq: u64, entries: &[(u64, u64)]| {
+            let mut w = crate::SnapshotWriter::new();
+            w.put(&t(now));
+            w.put_u64(next_seq);
+            w.put_usize(entries.len());
+            for &(time, seq) in entries {
+                entry(&mut w, time, seq);
+            }
+            w.finish()
+        };
+        assert!(decode(&build(5, 3, &[(5, 0), (6, 2)])).is_ok());
+        let err = |bytes: Vec<u8>| decode(&bytes).err();
+        let invalid = |why| Some(crate::SnapError::Invalid(why));
+        assert_eq!(err(build(5, 3, &[(4, 0)])), invalid("queued event before now"));
+        assert_eq!(err(build(5, 3, &[(6, 3)])), invalid("queued event seq from the future"));
+        assert_eq!(err(build(5, 3, &[(6, 1), (6, 0)])), invalid("queue entries out of order"));
+        assert_eq!(err(build(5, 3, &[(6, 1), (6, 1)])), invalid("queue entries out of order"));
     }
 }
 
@@ -1520,7 +435,7 @@ mod proptests {
         /// equal-time events preserve insertion order.
         #[test]
         fn pop_order_is_stable(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-            let mut q = EventQueue::new();
+            let mut q = DriverQueue::new(SchedulerKind::Heap);
             for (i, &nanos) in times.iter().enumerate() {
                 q.push(SimTime::from_nanos(nanos), i);
             }
@@ -1539,7 +454,7 @@ mod proptests {
         /// The queue never loses or duplicates events.
         #[test]
         fn conservation(times in proptest::collection::vec(0u64..100, 0..100)) {
-            let mut q = EventQueue::new();
+            let mut q = DriverQueue::new(SchedulerKind::Heap);
             for &nanos in &times {
                 q.push(SimTime::from_nanos(nanos), nanos);
             }
@@ -1551,53 +466,6 @@ mod proptests {
             expected.sort_unstable();
             popped.sort_unstable();
             prop_assert_eq!(popped, expected);
-        }
-
-        /// The calendar queue and the reference heap agree on tie-group
-        /// shape and on `pop_nth` for arbitrary decision sequences — the
-        /// contract the model-checking explorer's replays lean on.
-        #[test]
-        fn calendar_matches_heap_under_pop_nth(
-            times in proptest::collection::vec(0u64..2_000, 1..120),
-            picks in proptest::collection::vec(0usize..8, 1..120),
-        ) {
-            let mut cal = EventQueue::new();
-            let mut heap = HeapQueue::new();
-            for (i, &nanos) in times.iter().enumerate() {
-                cal.push(SimTime::from_nanos(nanos), i);
-                heap.push(SimTime::from_nanos(nanos), i);
-            }
-            for &pick in picks.iter().cycle().take(times.len()) {
-                prop_assert_eq!(cal.tie_count(), heap.tie_count());
-                let mut cal_ties = Vec::new();
-                cal.for_each_tie(|&e| cal_ties.push(e));
-                let mut heap_ties = Vec::new();
-                heap.for_each_tie(|&e| heap_ties.push(e));
-                prop_assert_eq!(&cal_ties, &heap_ties, "tie runs diverged");
-                // Clamp into the run so every iteration pops something.
-                let n = pick.min(cal.tie_count().saturating_sub(1));
-                prop_assert_eq!(cal.pop_nth(n), heap.pop_nth(n));
-            }
-            prop_assert!(cal.is_empty() && heap.is_empty());
-        }
-
-        /// The calendar queue and the reference heap agree pop-for-pop on
-        /// arbitrary push batches (times spread over several bucket years).
-        #[test]
-        fn calendar_matches_heap(times in proptest::collection::vec(0u64..5_000_000, 0..300)) {
-            let mut cal = EventQueue::new();
-            let mut heap = HeapQueue::new();
-            for (i, &nanos) in times.iter().enumerate() {
-                cal.push(SimTime::from_nanos(nanos), i);
-                heap.push(SimTime::from_nanos(nanos), i);
-            }
-            loop {
-                let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
         }
     }
 }

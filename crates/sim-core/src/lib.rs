@@ -4,26 +4,23 @@
 //! builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a stable (FIFO-on-tie) calendar queue of timed events,
-//!   with [`HeapQueue`] as the reference implementation and [`DriverQueue`]
-//!   to pick one at runtime,
+//! * [`DriverQueue`] — a stable (FIFO-on-tie) `BinaryHeap` queue of timed
+//!   events, the one scheduler every driver runs on,
 //! * [`TimerSlab`] — generation-checked timer handles for lazy cancellation,
 //! * [`SmallVec`] — an inline-first vector for hot-path output batches,
 //! * [`SimRng`] — a seeded, reproducible random number generator,
 //! * [`stats`] — small online statistics helpers (EWMA, time series).
 //!
 //! The simulation is bit-for-bit deterministic for a given seed: events that
-//! fire at the same virtual time are delivered in insertion order. The
-//! serial drivers are single-threaded; the conservative parallel driver
-//! ([`ShardedQueue`] plus the [`shard`] helpers) keeps the identical pop
-//! order by construction and uses threads only as a wall-clock optimization.
+//! fire at the same virtual time are delivered in insertion order, and the
+//! driver loop is single-threaded.
 //!
 //! # Example
 //!
 //! ```
-//! use sim_core::{EventQueue, SimDuration, SimTime};
+//! use sim_core::{DriverQueue, SchedulerKind, SimDuration, SimTime};
 //!
-//! let mut q: EventQueue<&str> = EventQueue::new();
+//! let mut q: DriverQueue<&str> = DriverQueue::new(SchedulerKind::Heap);
 //! q.push(SimTime::ZERO + SimDuration::from_millis(5), "b");
 //! q.push(SimTime::ZERO + SimDuration::from_millis(1), "a");
 //! let (t, ev) = q.pop().unwrap();
@@ -37,7 +34,6 @@ mod detmap;
 mod event;
 mod perf;
 mod rng;
-pub mod shard;
 mod smallvec;
 pub mod snapshot;
 pub mod stats;
@@ -47,12 +43,9 @@ mod timer;
 mod trace;
 
 pub use detmap::{DetMap, DetSet};
-pub use event::{
-    DriverQueue, EventQueue, HeapQueue, SchedulerKind, ShardedQueue, DEFAULT_SHARDS, MAX_SHARDS,
-};
+pub use event::{DriverQueue, SchedulerKind};
 pub use perf::RunPerf;
 pub use rng::SimRng;
-pub use shard::{lookahead, run_sharded, Horizons, MAC_TURNAROUND, MIN_PROPAGATION_DELAY};
 pub use smallvec::SmallVec;
 pub use snapshot::{
     SnapError, SnapshotReader, SnapshotWriter, Snapshotable, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -48,8 +48,8 @@ pub struct RunPerf {
     /// spatial grid optimises — and a topology-dynamics measure: high churn
     /// means routes break faster than AODV can repair them.
     pub link_churn: u64,
-    /// High-water mark of the pending-event queue (the calendar queue's
-    /// live length, sampled before every pop).
+    /// High-water mark of the pending-event queue (its live length,
+    /// sampled before every pop).
     pub peak_event_queue: usize,
     /// High-water mark of any node's interface queue.
     pub peak_ifq_depth: usize,
@@ -121,11 +121,10 @@ mod tests {
         assert_eq!(a.classified_total(), 14);
     }
 
-    /// Merging per-shard blocks must be order-insensitive and lossless:
-    /// `merge` is associative, commutative, and has the default block as
-    /// identity. This is what lets the sharded driver accumulate counters
-    /// into per-shard blocks and still report the serial totals exactly,
-    /// regardless of how nodes were partitioned.
+    /// Merging run blocks must be order-insensitive and lossless: `merge`
+    /// is associative, commutative, and has the default block as identity,
+    /// so a multi-seed batch reports the same totals whatever order its
+    /// runs finish in.
     #[test]
     fn merge_is_associative_commutative_with_identity() {
         let blocks = [

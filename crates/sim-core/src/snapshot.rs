@@ -32,7 +32,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUZSNAP0";
 
 /// Current snapshot format version. Bumps on any layout change; decoders
 /// reject every other version outright (no migration).
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Why a snapshot failed to decode. Always an error value, never a panic:
 /// snapshots cross process boundaries and must be treated as untrusted
@@ -541,15 +541,17 @@ mod tests {
 
     #[test]
     fn bumped_version_is_rejected_not_misread() {
-        let mut w = SnapshotWriter::new();
-        w.put_bytes(&[]); // placeholder so the buffer is non-trivial
-        let mut bytes = Vec::from(SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-        bytes.extend_from_slice(&w.finish());
-        assert_eq!(
-            SnapshotReader::with_header(&bytes).err(),
-            Some(SnapError::UnsupportedVersion(SNAPSHOT_VERSION + 1))
-        );
+        for version in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            let mut w = SnapshotWriter::new();
+            w.put_bytes(&[]); // placeholder so the buffer is non-trivial
+            let mut bytes = Vec::from(SNAPSHOT_MAGIC);
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(&w.finish());
+            assert_eq!(
+                SnapshotReader::with_header(&bytes).err(),
+                Some(SnapError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub enum Rule {
     FloatOrder,
     /// Raw timer-slot clears bypassing the TimerSlab id-match contract.
     TimerClear,
-    /// `std::thread` use outside the licensed wall-clock/shard-driver files.
+    /// `std::thread` use outside the licensed wall-clock measurement crates.
     ThreadSpawn,
     /// An `Event` variant missing its fold tag, `RunPerf` arm, or dispatch arm.
     EventAccounting,
@@ -166,10 +166,10 @@ impl Rule {
             }
             Rule::AdHocHeap => {
                 "std::collections::BinaryHeap breaks ties arbitrarily. The event \
-                 schedulers in crates/sim-core (calendar queue, HeapQueue reference) \
-                 implement a FIFO tie discipline the trace-hash contract depends on; \
-                 any ad-hoc heap elsewhere would bypass it and reintroduce ordering \
-                 nondeterminism."
+                 queue in crates/sim-core (sim_core::DriverQueue) keys its heap on \
+                 (time, seq) to get the FIFO tie discipline the trace-hash contract \
+                 depends on; any ad-hoc heap elsewhere would bypass it and \
+                 reintroduce ordering nondeterminism."
             }
             Rule::CastTruncate => {
                 "`as` silently truncates. On time (nanos), sequence, ack, and uid \
@@ -195,13 +195,11 @@ impl Rule {
                 "Threads are where nondeterminism re-enters a deterministic \
                  simulator: anything computed on a worker thread and merged in \
                  completion order (instead of a fixed order) varies run to run. \
-                 Parallelism is confined to two audited places — the harness \
-                 batch runner (independent whole runs, merged in submission \
-                 order) and crates/sim-core/src/shard.rs, the conservative \
-                 sharded driver whose workers compute pure plans merged in \
-                 shard order. Everywhere else, std::thread is banned; new \
-                 parallel code must route through sim_core::run_sharded so the \
-                 merge discipline stays in one reviewed file."
+                 Parallelism is confined to the wall-clock measurement crates, \
+                 whose batch runner executes independent whole runs and merges \
+                 them in submission order. Everywhere else, std::thread is \
+                 banned; new parallel code must route through harness::run_batch \
+                 so the merge discipline stays in one reviewed place."
             }
             Rule::EventAccounting => {
                 "Every netstack::sim::Event variant must appear in fold_event (with a \
@@ -319,22 +317,20 @@ pub fn wallclock_licensed(rel_path: &str) -> bool {
 /// Whether `rel_path` may use `std::collections::BinaryHeap`. Only the
 /// scheduler's home (`crates/sim-core/src/`) is licensed: `BinaryHeap`
 /// breaks ties arbitrarily, so any ad-hoc priority queue elsewhere risks
-/// reintroducing the event-ordering nondeterminism the calendar queue and
-/// its FIFO tie discipline were built to rule out. Everything else must
-/// schedule through `sim_core::EventQueue`/`DriverQueue`.
+/// reintroducing the event-ordering nondeterminism the event queue's
+/// `(time, seq)` key and FIFO tie discipline rule out. Everything else
+/// must schedule through `sim_core::DriverQueue`.
 pub fn binaryheap_licensed(rel_path: &str) -> bool {
     rel_path.starts_with("crates/sim-core/src/")
 }
 
-/// Whether `rel_path` may touch `std::thread`. Two homes are licensed: the
-/// wall-clock measurement crates (whole-run batch parallelism, results
-/// merged in submission order) and the conservative sharded driver
-/// `crates/sim-core/src/shard.rs`, whose `run_sharded` merges worker
-/// results in shard order. Everything else must route parallel work
-/// through `sim_core::run_sharded`, keeping the deterministic-merge
-/// discipline in one reviewed file.
+/// Whether `rel_path` may touch `std::thread`. Only the wall-clock
+/// measurement crates are licensed (whole-run batch parallelism, results
+/// merged in submission order). Everything else must route parallel work
+/// through the harness batch runner, keeping the deterministic-merge
+/// discipline in one reviewed place.
 pub fn thread_licensed(rel_path: &str) -> bool {
-    wallclock_licensed(rel_path) || rel_path == "crates/sim-core/src/shard.rs"
+    wallclock_licensed(rel_path)
 }
 
 /// Whether `rel_path` may order raw floats with handwritten comparators.

@@ -288,16 +288,16 @@ pub(crate) fn scan_file(rel_path: &str, scope: FileScope, lexed: &Lexed) -> Vec<
                 Rule::AdHocHeap,
                 t.line,
                 "`BinaryHeap` breaks ties arbitrarily; schedule through \
-                 sim_core::EventQueue/DriverQueue (or HeapQueue as a reference)"
+                 sim_core::DriverQueue"
                     .to_string(),
-                "schedule through sim_core::EventQueue/DriverQueue; for a reference \
-                 ordering use sim_core::HeapQueue (FIFO ties)"
+                "schedule through sim_core::DriverQueue, whose (time, seq) key pops \
+                 ties in FIFO order"
                     .to_string(),
             );
         }
 
-        // --- thread-spawn: everywhere outside the two licensed parallel
-        // drivers, test code included (a test that spawns threads and merges
+        // --- thread-spawn: everywhere outside the licensed measurement
+        // crates, test code included (a test that spawns threads and merges
         // in completion order is flaky by construction). Matching `thread ::`
         // catches `std::thread::spawn`, `thread::scope`, and
         // `use std::thread::...` alike.
@@ -310,10 +310,10 @@ pub(crate) fn scan_file(rel_path: &str, scope: FileScope, lexed: &Lexed) -> Vec<
                 &mut findings,
                 Rule::ThreadSpawn,
                 t.line,
-                "`std::thread` outside the licensed parallel drivers".to_string(),
-                "route parallel work through sim_core::run_sharded (shard-order \
-                 merge) or the harness batch runner; raw thread spawns merge in \
-                 completion order and break replay"
+                "`std::thread` outside the licensed measurement crates".to_string(),
+                "route parallel work through the harness batch runner \
+                 (harness::run_batch); raw thread spawns merge in completion order \
+                 and break replay"
                     .to_string(),
             );
         }

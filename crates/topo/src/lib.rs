@@ -25,10 +25,8 @@
 pub mod generators;
 mod geometry;
 mod grid;
-mod shard;
 mod spec;
 
 pub use geometry::Position;
 pub use grid::SpatialGrid;
-pub use shard::ShardMap;
 pub use spec::{IndexKind, MobilitySpec, TopologySpec, WaypointLeg};

@@ -31,17 +31,9 @@ const CORPUS: [(&str, &str); 8] = [
 /// with one NewReno flow end to end, the script's seed, and the script's
 /// duration.
 fn run_scenario(script: &ScenarioScript) -> (u64, u64, LedgerSummary, Vec<String>) {
-    run_scenario_with(script, SimConfig::default().scheduler)
-}
-
-/// Same as [`run_scenario`] but pinning the event-queue implementation.
-fn run_scenario_with(
-    script: &ScenarioScript,
-    scheduler: SchedulerKind,
-) -> (u64, u64, LedgerSummary, Vec<String>) {
     let seed = script.seed.expect("corpus scripts declare a seed");
     let duration = script.duration.expect("corpus scripts declare a duration");
-    let cfg = SimConfig { seed, scheduler, ..SimConfig::default() };
+    let cfg = SimConfig { seed, ..SimConfig::default() };
     let mut sim = Simulator::new(topology::chain(4), cfg);
     let (src, dst) = topology::chain_flow(4);
     let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
@@ -92,126 +84,6 @@ fn corpus_runs_clean_and_twin_runs_are_bit_identical() {
             ledger_a.injected,
             ledger_a.delivered + ledger_a.dropped + ledger_a.fault_dropped + ledger_a.in_flight,
             "{name}: conservation ledger does not balance: {ledger_a:?}"
-        );
-    }
-}
-
-/// The scheduler swap is invisible at the trace level: every corpus script
-/// must produce the *same* trace hash and delivery count under the calendar
-/// queue and under the binary-heap reference. Together with the twin-run
-/// check above, this pins the PR's bit-identical acceptance bar — faults,
-/// pauses and all — not just on the happy path.
-#[test]
-fn corpus_is_scheduler_agnostic() {
-    for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text)
-            .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let (cal_hash, cal_delivered, _, _) = run_scenario_with(&script, SchedulerKind::Calendar);
-        let (heap_hash, heap_delivered, _, _) = run_scenario_with(&script, SchedulerKind::Heap);
-        assert_eq!(
-            cal_hash, heap_hash,
-            "{name}: calendar and heap schedulers must replay identical event streams"
-        );
-        assert_eq!(cal_delivered, heap_delivered, "{name}: delivery counts diverged");
-    }
-}
-
-/// Same as [`run_scenario_with`] but under the conservative sharded
-/// scheduler at an explicit shard count.
-fn run_scenario_sharded(
-    script: &ScenarioScript,
-    shards: usize,
-) -> (u64, u64, LedgerSummary, Vec<String>) {
-    let seed = script.seed.expect("corpus scripts declare a seed");
-    let duration = script.duration.expect("corpus scripts declare a duration");
-    let cfg = SimConfig { seed, scheduler: SchedulerKind::Sharded, shards, ..SimConfig::default() };
-    let mut sim = Simulator::new(topology::chain(4), cfg);
-    let (src, dst) = topology::chain_flow(4);
-    let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-    sim.load_scenario(script);
-    sim.install_checker(InvariantChecker::new());
-    sim.run_until(SimTime::ZERO + duration);
-    let checker = sim.take_checker().expect("checker was installed");
-    let violations = checker.violations().iter().map(|v| v.to_string()).collect();
-    (sim.trace_hash(), sim.flow_report(flow).delivered_segments, checker.ledger(), violations)
-}
-
-/// The sharded scheduler's acceptance bar on the full corpus: every script
-/// — faults, pauses, loss bursts and all — must replay the *byte-identical*
-/// trace hash of the serial calendar run at shard counts 1, 2 and 4, with
-/// the same delivery count and a clean checker.
-#[test]
-fn corpus_is_shard_count_agnostic() {
-    for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text)
-            .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let (serial_hash, serial_delivered, _, _) =
-            run_scenario_with(&script, SchedulerKind::Calendar);
-        for shards in [1usize, 2, 4] {
-            let (hash, delivered, ledger, violations) = run_scenario_sharded(&script, shards);
-            assert_eq!(
-                hash, serial_hash,
-                "{name}: sharded run ({shards} shards) diverged from the serial trace"
-            );
-            assert_eq!(delivered, serial_delivered, "{name}: delivery counts diverged");
-            assert!(
-                violations.is_empty(),
-                "{name} ({shards} shards): invariant violations:\n{}",
-                violations.join("\n")
-            );
-            assert_eq!(
-                ledger.injected,
-                ledger.delivered + ledger.dropped + ledger.fault_dropped + ledger.in_flight,
-                "{name} ({shards} shards): conservation ledger does not balance"
-            );
-        }
-    }
-}
-
-/// The corpus runs on a static chain; this pins the sharded scheduler on
-/// the workload it actually parallelises — a random-waypoint mobile
-/// topology, where every lookahead window is dense with mobility ticks.
-/// The trace hash and the *merged* perf counters must match the serial run
-/// exactly at shard counts 1, 2 and 4.
-#[test]
-fn mobile_topology_is_shard_count_agnostic() {
-    use tcp_muzha::net::{MobilitySpec, TopologySpec};
-
-    let build = |scheduler: SchedulerKind, shards: usize| {
-        let cfg = SimConfig {
-            seed: 77,
-            scheduler,
-            shards,
-            topology: TopologySpec::RandomDisc { count: 60, width_m: 1500.0, height_m: 1100.0 },
-            mobility: MobilitySpec::Waypoint {
-                min_speed_mps: 2.0,
-                max_speed_mps: 20.0,
-                pause: SimDuration::from_millis(250),
-            },
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::from_config(cfg);
-        let last = sim.node_count() - 1;
-        sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::new(last as u16), TcpVariant::Muzha));
-        sim.run_until(SimTime::from_secs_f64(3.0));
-        (sim.trace_hash(), sim.perf())
-    };
-
-    let (serial_hash, serial_perf) = build(SchedulerKind::Calendar, 1);
-    for shards in [1usize, 2, 4] {
-        let (hash, perf) = build(SchedulerKind::Sharded, shards);
-        assert_eq!(
-            hash, serial_hash,
-            "mobile topology: sharded run ({shards} shards) diverged from serial"
-        );
-        assert_eq!(
-            perf, serial_perf,
-            "mobile topology: merged counters diverged at {shards} shards"
-        );
-        assert_eq!(
-            perf.classified_total(),
-            perf.events_processed,
-            "mobile topology ({shards} shards): classification invariant broken"
         );
     }
 }
@@ -331,7 +203,7 @@ fn run_timer_toy(
     decisions: &[usize],
 ) -> BranchOutcome {
     let at = script.events.first().expect("fixture pins the tie instant").at;
-    let mut q = DriverQueue::new(SchedulerKind::Calendar);
+    let mut q = DriverQueue::new(SchedulerKind::Heap);
     q.push(at, TimerToyEvent::Fire { token: 1 }); // queued before the ACK ⇒ FIFO runs it first
     q.push(at, TimerToyEvent::AckRearm { next: 2 });
     let mut order = TieOrder::new(decisions.to_vec());

@@ -83,10 +83,9 @@ fn topology_subsystem_is_held_to_sim_state_policy() {
 #[test]
 fn binaryheap_licence_covers_sim_core_only() {
     // Pin the binary-heap carve-out: the scheduler's home crate may use
-    // `std::collections::BinaryHeap` (the calendar queue's in-bucket spill
-    // and the `HeapQueue` differential reference live there); everywhere
-    // else an ad-hoc heap would bypass the FIFO tie discipline the
-    // trace-hash determinism contract depends on.
+    // `std::collections::BinaryHeap` (the event queue keys one on
+    // `(time, seq)` there); everywhere else an ad-hoc heap would bypass the
+    // FIFO tie discipline the trace-hash determinism contract depends on.
     assert!(simlint::binaryheap_licensed("crates/sim-core/src/event.rs"));
     assert!(simlint::binaryheap_licensed("crates/sim-core/src/lib.rs"));
     for path in [
@@ -102,16 +101,14 @@ fn binaryheap_licence_covers_sim_core_only() {
 
 #[test]
 fn thread_licence_covers_parallel_drivers_only() {
-    // Pin the thread carve-out: `std::thread` is licensed in exactly two
-    // places — the wall-clock measurement crates (whole-run batch
-    // parallelism, merged in submission order) and the conservative sharded
-    // driver, whose `run_sharded` merges worker results in shard order.
-    // Nowhere else: a spawn that merges in completion order is
-    // nondeterminism by construction.
-    assert!(simlint::thread_licensed("crates/sim-core/src/shard.rs"));
+    // Pin the thread carve-out: `std::thread` is licensed only in the
+    // wall-clock measurement crates (whole-run batch parallelism, merged in
+    // submission order). Nowhere else: a spawn that merges in completion
+    // order is nondeterminism by construction.
     assert!(simlint::thread_licensed("crates/harness/src/parallel.rs"));
     assert!(simlint::thread_licensed("crates/bench/src/lib.rs"));
     for path in [
+        "crates/sim-core/src/shard.rs",
         "crates/sim-core/src/event.rs",
         "crates/sim-core/src/lib.rs",
         "crates/netstack/src/sim.rs",
@@ -216,8 +213,8 @@ fn fixture_token_rules_fire() {
 #[test]
 fn fixture_unlicensed_thread_spawn_is_caught() {
     // The aodv fixture spawns a raw thread from a sim-state crate; exactly
-    // that one spawn must fire, and the licensed drivers (harness batch
-    // runner, sim-core shard driver) must stay clean in the real scan —
+    // that one spawn must fire, and the licensed harness batch runner must
+    // stay clean in the real scan —
     // `workspace_satisfies_determinism_policy` above covers the latter.
     let hits: Vec<(String, usize)> = fixture_findings()
         .into_iter()
