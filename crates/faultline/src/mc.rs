@@ -404,11 +404,7 @@ mod tests {
     fn toy_runner(groups: Vec<Vec<TieClass>>) -> impl FnMut(usize, &[usize]) -> BranchOutcome {
         move |_placement, decisions| {
             let mut order = sim_core::TieOrder::new(decisions.to_vec());
-            let mut hash = 0xcbf29ce484222325u64;
-            let mut fold = |x: u64| {
-                hash ^= x;
-                hash = hash.wrapping_mul(0x100000001b3);
-            };
+            let mut hash = sim_core::TraceHash::new();
             for (g, group) in groups.iter().enumerate() {
                 let mut remaining: Vec<(usize, TieClass)> =
                     group.iter().copied().enumerate().collect();
@@ -419,10 +415,14 @@ mod tests {
                         0
                     };
                     let (original, _) = remaining.remove(idx);
-                    fold((g as u64) << 32 | original as u64);
+                    hash.write_u64((g as u64) << 32 | original as u64);
                 }
             }
-            BranchOutcome { trace_hash: hash, choices: order.into_choices(), violations: vec![] }
+            BranchOutcome {
+                trace_hash: hash.digest(),
+                choices: order.into_choices(),
+                violations: vec![],
+            }
         }
     }
 

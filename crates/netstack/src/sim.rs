@@ -43,8 +43,10 @@ enum Event {
     TcpTimer { node: NodeId, flow: FlowId, id: TcpTimer },
     /// An FTP source starts.
     FlowStart { flow: FlowId },
-    /// A jittered broadcast enqueue (AODV flood desynchronisation).
-    JitteredEnqueue { node: NodeId, packet: Packet, next_hop: NodeId },
+    /// A jittered broadcast enqueue (AODV flood desynchronisation). The
+    /// packet is boxed: this rare variant would otherwise set the size of
+    /// every queued event.
+    JitteredEnqueue { node: NodeId, packet: Box<Packet>, next_hop: NodeId },
     /// Periodic position update for a moving node.
     MobilityTick { node: NodeId },
     /// Delayed-ACK release timer at a flow's receiver.
@@ -54,6 +56,10 @@ enum Event {
     /// A scripted fault fires (index into the loaded scenario fault list).
     Fault { index: usize },
 }
+
+// Every queued event pays for the largest variant; keep the hot-path
+// layout from silently growing back.
+const _: () = assert!(std::mem::size_of::<Event>() <= 48);
 
 /// Folds one dispatched event into the running trace digest. Every variant
 /// contributes a distinct tag plus its scheduling-relevant fields, so any
@@ -1259,7 +1265,7 @@ impl Simulator {
                 self.process_tcp_outputs(node, flow, outputs);
             }
             Event::JitteredEnqueue { node, packet, next_hop } => {
-                self.enqueue_ifq(node, packet, next_hop);
+                self.enqueue_ifq(node, *packet, next_hop);
             }
             Event::MobilityTick { node } => self.mobility_tick(node),
             Event::DelAckTimer { node, flow, id } => {
@@ -1409,7 +1415,7 @@ impl Simulator {
                             sim_core::SimDuration::from_micros(u64::from(self.rng.below(10_000)));
                         self.events.push(
                             self.now + jitter,
-                            Event::JitteredEnqueue { node, packet, next_hop },
+                            Event::JitteredEnqueue { node, packet: Box::new(packet), next_hop },
                         );
                     } else {
                         self.enqueue_ifq(node, packet, next_hop);
@@ -1659,6 +1665,9 @@ impl Simulator {
         let loss_p = self.cfg.radio.per_frame_loss;
         // Collect receivers first (channel borrows self.channel only).
         let neighbours: Vec<NodeId> = self.channel.cs_neighbors(sender).to_vec();
+        // All arrivals go into the queue as one batch: the same seqs and pop
+        // order as 2×N single pushes, at one heap entry per transmission.
+        let mut arrivals = Vec::with_capacity(2 * neighbours.len());
         for nb in neighbours {
             let distance = self.channel.distance(sender, nb);
             let prop = phy::RadioParams::propagation_delay(distance);
@@ -1670,11 +1679,16 @@ impl Simulator {
             let power = self.cfg.radio.rx_power(distance);
             let rx_start = now + prop;
             let rx_end = rx_start + airtime;
-            self.events
-                .push(rx_start, Event::RxStart { node: nb, tx_id, end: rx_end, decodable, power });
-            self.events
-                .push(rx_end, Event::RxEnd { node: nb, tx_id, frame: frame.clone(), in_rx_range });
+            arrivals.push((
+                rx_start,
+                Event::RxStart { node: nb, tx_id, end: rx_end, decodable, power },
+            ));
+            arrivals.push((
+                rx_end,
+                Event::RxEnd { node: nb, tx_id, frame: frame.clone(), in_rx_range },
+            ));
         }
+        self.events.push_batch(arrivals);
         self.events.push(end, Event::TxDone { node: sender });
     }
 
@@ -1837,7 +1851,7 @@ impl sim_core::Snapshotable for Event {
             Event::JitteredEnqueue { node, packet, next_hop } => {
                 w.put_u8(8);
                 w.put(node);
-                w.put(packet);
+                w.put(&**packet);
                 w.put(next_hop);
             }
             Event::MobilityTick { node } => {
@@ -1878,7 +1892,11 @@ impl sim_core::Snapshotable for Event {
             5 => Event::AodvTimer { node: r.get()?, id: r.get()? },
             6 => Event::TcpTimer { node: r.get()?, flow: r.get()?, id: r.get()? },
             7 => Event::FlowStart { flow: r.get()? },
-            8 => Event::JitteredEnqueue { node: r.get()?, packet: r.get()?, next_hop: r.get()? },
+            8 => Event::JitteredEnqueue {
+                node: r.get()?,
+                packet: Box::new(r.get()?),
+                next_hop: r.get()?,
+            },
             9 => Event::MobilityTick { node: r.get()? },
             10 => Event::DelAckTimer { node: r.get()?, flow: r.get()?, id: r.get()? },
             11 => Event::Sample,

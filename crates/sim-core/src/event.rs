@@ -5,18 +5,58 @@
 //! events pop in insertion (FIFO) order, which is what makes a run
 //! bit-for-bit reproducible. The scenario-corpus trace hashes pin that
 //! order end to end.
+//!
+//! [`DriverQueue::push_batch`] stores many events as one heap entry keyed
+//! by the batch's earliest pending `(time, seq)`; every observable
+//! behaviour (pop order, ties, `len`, snapshots) is that of the same events
+//! pushed one at a time.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
 use crate::SimTime;
 
+/// One heap entry, keyed by the earliest pending `(time, seq)` it holds.
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: Slot<E>,
+}
+
+/// What a heap entry holds.
+#[derive(Debug)]
+enum Slot<E> {
+    /// One event, pushed with [`DriverQueue::push`].
+    One(E),
+    /// A batch from [`DriverQueue::push_batch`]. Boxed so a single entry
+    /// stays small.
+    Batch(Box<Batch<E>>),
+}
+
+/// The pending events of one batch, sorted by descending `(time, seq)` so
+/// the entry's key is the last item. Never empty while in the heap.
+#[derive(Debug)]
+struct Batch<E> {
+    items: Vec<(SimTime, u64, E)>,
+}
+
+impl<E> Entry<E> {
+    /// Visits this entry's events that fire at `time`, unordered.
+    fn visit_at<'a>(&'a self, time: SimTime, f: &mut impl FnMut(u64, &'a E)) {
+        match &self.slot {
+            Slot::One(event) if self.time == time => f(self.seq, event),
+            Slot::One(_) => {}
+            Slot::Batch(batch) => {
+                for (_, seq, event) in batch.items.iter().rev().take_while(|&&(t, _, _)| t == time)
+                {
+                    f(*seq, event);
+                }
+            }
+        }
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -69,13 +109,24 @@ pub struct DriverQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     last_popped: SimTime,
+    /// Pending events, counting each batched event (the heap counts entries).
+    len: usize,
 }
 
 impl<E: Debug> DriverQueue<E> {
     /// Creates an empty queue.
     pub fn new(kind: SchedulerKind) -> Self {
         let SchedulerKind::Heap = kind;
-        DriverQueue { heap: BinaryHeap::new(), next_seq: 0, last_popped: SimTime::ZERO }
+        DriverQueue { heap: BinaryHeap::new(), next_seq: 0, last_popped: SimTime::ZERO, len: 0 }
+    }
+
+    /// Panics unless `time` is at or after the last popped event.
+    fn check_not_past(&self, time: SimTime, event: &E) {
+        assert!(
+            time >= self.last_popped,
+            "scheduled event at {time} before current time {}: {event:?}",
+            self.last_popped
+        );
     }
 
     /// Schedules `event` to fire at `time`.
@@ -86,22 +137,67 @@ impl<E: Debug> DriverQueue<E> {
     /// into the past is always a logic error in the caller. The message
     /// carries the offending event's debug summary.
     pub fn push(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.last_popped,
-            "scheduled event at {time} before current time {}: {event:?}",
-            self.last_popped
-        );
+        self.check_not_past(time, &event);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        self.len += 1;
+        self.heap.push(Entry { time, seq, slot: Slot::One(event) });
+    }
+
+    /// Schedules every `(time, event)` of `events` exactly as the same
+    /// calls to [`Self::push`] in order would: they take consecutive
+    /// sequence numbers, pop in `(time, seq)` order and count in
+    /// [`Self::len`] one by one. They share one heap entry, so a batch of
+    /// `n` costs one heap push and its pops sift an entry whose key moves
+    /// only as far as the batch's next event. An empty batch is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before scheduling any of them, if any event is earlier than
+    /// the last popped event; the message names that event.
+    pub fn push_batch(&mut self, events: Vec<(SimTime, E)>) {
+        for (time, event) in &events {
+            self.check_not_past(*time, event);
+        }
+        let base = self.next_seq;
+        self.next_seq += events.len() as u64;
+        self.len += events.len();
+        let mut items: Vec<(SimTime, u64, E)> =
+            events.into_iter().zip(base..).map(|((time, event), seq)| (time, seq, event)).collect();
+        items.sort_unstable_by_key(|&(time, seq, _)| std::cmp::Reverse((time, seq)));
+        if let Some(&(time, seq, _)) = items.last() {
+            self.heap.push(Entry { time, seq, slot: Slot::Batch(Box::new(Batch { items })) });
+        }
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.last_popped, "event queue went backwards");
-        self.last_popped = entry.time;
-        Some((entry.time, entry.event))
+        let mut head = self.heap.peek_mut()?;
+        let (time, event) = if let Slot::Batch(batch) = &mut head.slot {
+            let items = &mut batch.items;
+            let (time, _, event) = items.pop()?;
+            // Re-key the entry in place: the heap sifts it down from the
+            // root on drop, which is cheaper than a pop plus a push.
+            match items.last() {
+                Some(&(next_time, next_seq, _)) => {
+                    head.time = next_time;
+                    head.seq = next_seq;
+                }
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+            (time, event)
+        } else {
+            let Entry { time, slot: Slot::One(event), .. } = PeekMut::pop(head) else {
+                return None;
+            };
+            (time, event)
+        };
+        debug_assert!(time >= self.last_popped, "event queue went backwards");
+        self.last_popped = time;
+        self.len -= 1;
+        Some((time, event))
     }
 
     /// Removes and returns the `n`-th event (FIFO order) among those tied at
@@ -111,41 +207,66 @@ impl<E: Debug> DriverQueue<E> {
     /// if the queue is empty or `n` is not below [`Self::tie_count`].
     pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
         let time = self.heap.peek()?.time;
-        // The heap pops `(time, seq)` ascending, so draining the tie run
-        // yields it already in FIFO order.
-        let mut tied: Vec<Entry<E>> = Vec::new();
+        // Lift the whole tie run out as `(seq, event)`: every single entry
+        // at `time`, and each batch's events at `time` off its back (the
+        // batch's later events go back as a batch).
+        let mut tied: Vec<(u64, E)> = Vec::new();
+        let mut rest: Vec<Entry<E>> = Vec::new();
         while self.heap.peek().is_some_and(|e| e.time == time) {
-            if let Some(entry) = self.heap.pop() {
-                tied.push(entry);
+            let Some(entry) = self.heap.pop() else { break };
+            match entry.slot {
+                Slot::One(event) => tied.push((entry.seq, event)),
+                Slot::Batch(mut batch) => {
+                    while let Some((_, seq, event)) = batch.items.pop_if(|item| item.0 == time) {
+                        tied.push((seq, event));
+                    }
+                    if let Some(&(time, seq, _)) = batch.items.last() {
+                        rest.push(Entry { time, seq, slot: Slot::Batch(batch) });
+                    }
+                }
             }
         }
-        if n >= tied.len() {
-            self.heap.extend(tied);
-            return None;
-        }
+        tied.sort_unstable_by_key(|&(seq, _)| seq);
+        let chosen = (n < tied.len()).then(|| tied.swap_remove(n));
         // swap_remove scrambles the survivors' order, but re-inserting into
         // the heap restores `(time, seq)` order from the preserved seqs.
-        let entry = tied.swap_remove(n);
-        self.heap.extend(tied);
-        debug_assert!(entry.time >= self.last_popped, "event queue went backwards");
-        self.last_popped = entry.time;
-        Some((entry.time, entry.event))
+        self.heap.extend(rest);
+        self.heap.extend(tied.into_iter().map(|(seq, event)| Entry {
+            time,
+            seq,
+            slot: Slot::One(event),
+        }));
+        let (_, event) = chosen?;
+        debug_assert!(time >= self.last_popped, "event queue went backwards");
+        self.last_popped = time;
+        self.len -= 1;
+        Some((time, event))
+    }
+
+    /// Visits `(seq, event)` for each event tied at the earliest time,
+    /// unordered.
+    fn visit_head_ties<'a>(&'a self, mut f: impl FnMut(u64, &'a E)) {
+        let Some(time) = self.peek_time() else { return };
+        for entry in self.heap.iter().filter(|e| e.time == time) {
+            entry.visit_at(time, &mut f);
+        }
     }
 
     /// Number of pending events tied at the earliest time (0 when empty).
     pub fn tie_count(&self) -> usize {
-        let Some(head) = self.heap.peek() else { return 0 };
-        self.heap.iter().filter(|e| e.time == head.time).count()
+        let mut count = 0;
+        self.visit_head_ties(|_, _| count += 1);
+        count
     }
 
     /// Visits each event tied at the earliest time, in FIFO order — the
     /// order `pop_nth` indexes.
     pub fn for_each_tie(&self, mut f: impl FnMut(&E)) {
-        let Some(head) = self.heap.peek() else { return };
-        let mut tied: Vec<&Entry<E>> = self.heap.iter().filter(|e| e.time == head.time).collect();
-        tied.sort_unstable_by_key(|e| e.seq);
-        for entry in tied {
-            f(&entry.event);
+        let mut tied: Vec<(u64, &E)> = Vec::new();
+        self.visit_head_ties(|seq, event| tied.push((seq, event)));
+        tied.sort_unstable_by_key(|&(seq, _)| seq);
+        for (_, event) in tied {
+            f(event);
         }
     }
 
@@ -160,9 +281,9 @@ impl<E: Debug> DriverQueue<E> {
         self.last_popped
     }
 
-    /// Number of pending events.
+    /// Number of pending events (each batched event counts).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
@@ -172,18 +293,29 @@ impl<E: Debug> DriverQueue<E> {
 }
 
 impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
-    /// Layout: `now`, the next sequence number, then the pending entries
-    /// in canonical `(time, seq)` order, each as `time, seq, event`.
+    /// Layout: `now`, the next sequence number, then the pending events in
+    /// canonical `(time, seq)` order, each as `time, seq, event`. Batches
+    /// expand into their events, so the bytes do not depend on how the
+    /// events were pushed (a decoded queue holds no batches).
     fn encode(&self, w: &mut crate::SnapshotWriter) {
-        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
-        entries.sort_unstable_by_key(|e| (e.time, e.seq));
+        let mut events: Vec<(SimTime, u64, &E)> = Vec::with_capacity(self.len);
+        for entry in &self.heap {
+            match &entry.slot {
+                Slot::One(event) => events.push((entry.time, entry.seq, event)),
+                Slot::Batch(batch) => {
+                    events
+                        .extend(batch.items.iter().map(|(time, seq, event)| (*time, *seq, event)));
+                }
+            }
+        }
+        events.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
         w.put(&self.last_popped);
         w.put_u64(self.next_seq);
-        w.put_usize(entries.len());
-        for entry in entries {
-            w.put(&entry.time);
-            w.put_u64(entry.seq);
-            entry.event.encode(w);
+        w.put_usize(events.len());
+        for (time, seq, event) in events {
+            w.put(&time);
+            w.put_u64(seq);
+            event.encode(w);
         }
     }
 
@@ -205,9 +337,10 @@ impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
             if entries.last().is_some_and(|p| (time, seq) <= (p.time, p.seq)) {
                 return Err(crate::SnapError::Invalid("queue entries out of order"));
             }
-            entries.push(Entry { time, seq, event });
+            entries.push(Entry { time, seq, slot: Slot::One(event) });
         }
-        Ok(DriverQueue { heap: BinaryHeap::from(entries), next_seq, last_popped })
+        let len = entries.len();
+        Ok(DriverQueue { heap: BinaryHeap::from(entries), next_seq, last_popped, len })
     }
 }
 
@@ -364,6 +497,91 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn single_entries_stay_small() {
+        // The hold model and every non-batched event pay for the entry size:
+        // a batch must stay behind one pointer.
+        assert!(std::mem::size_of::<Entry<u64>>() <= 32);
+    }
+
+    #[test]
+    fn batch_pops_like_single_pushes() {
+        let mut batched = queue();
+        let mut single = queue();
+        batched.push(t(20), 'a');
+        single.push(t(20), 'a');
+        let events = vec![(t(30), 'b'), (t(20), 'c'), (t(10), 'd'), (t(20), 'e')];
+        for &(at, e) in &events {
+            single.push(at, e);
+        }
+        batched.push_batch(events);
+        batched.push(t(10), 'f');
+        single.push(t(10), 'f');
+        assert_eq!(batched.len(), 6);
+        loop {
+            assert_eq!(batched.len(), single.len());
+            let (a, b) = (batched.pop(), single.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        let mut q = queue();
+        q.push(t(10), 'a');
+        q.push_batch(Vec::new());
+        assert_eq!((q.len(), q.tie_count()), (1, 1));
+        q.push(t(10), 'b');
+        q.push_batch(vec![(t(10), 'c')]);
+        // The empty batch consumed no sequence numbers: FIFO is a, b, c.
+        assert_eq!(q.pop(), Some((t(10), 'a')));
+        assert_eq!(q.pop(), Some((t(10), 'b')));
+        assert_eq!(q.pop(), Some((t(10), 'c')));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn batch_into_the_past_panics_and_names_the_event() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut q = queue();
+            q.push(t(10), "now");
+            q.pop();
+            q.push_batch(vec![(t(12), "fine"), (t(9), "late-rx-end")]);
+        });
+        let msg = caught.unwrap_err();
+        let msg = msg.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("before current time"), "{msg}");
+        assert!(msg.contains("late-rx-end"), "panic must carry the event: {msg}");
+    }
+
+    #[test]
+    fn pop_nth_reaches_into_a_batch() {
+        let mut q = queue();
+        q.push(t(5), 'x');
+        q.pop();
+        q.push(t(10), 'a');
+        q.push_batch(vec![(t(10), 'b'), (t(20), 'z'), (t(10), 'c')]);
+        q.push(t(10), 'd');
+        assert_eq!(q.tie_count(), 4);
+        let mut seen = Vec::new();
+        q.for_each_tie(|&e| seen.push(e));
+        assert_eq!(seen, vec!['a', 'b', 'c', 'd']);
+        // Out of range inside a batch: nothing removed, time unchanged.
+        assert_eq!(q.pop_nth(4), None);
+        assert_eq!((q.len(), q.now(), q.tie_count()), (5, t(5), 4));
+        assert_eq!(q.pop_nth(2), Some((t(10), 'c')));
+        assert_eq!(q.now(), t(10));
+        assert_eq!(q.pop_nth(1), Some((t(10), 'b')));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((t(10), 'a')));
+        assert_eq!(q.pop(), Some((t(10), 'd')));
+        assert_eq!(q.pop(), Some((t(20), 'z')));
+        assert!(q.is_empty());
     }
 
     fn encode(q: &DriverQueue<u64>) -> Vec<u8> {

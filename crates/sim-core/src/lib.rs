@@ -5,7 +5,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`DriverQueue`] — a stable (FIFO-on-tie) `BinaryHeap` queue of timed
-//!   events, the one scheduler every driver runs on,
+//!   events, the one scheduler every driver runs on, with batched pushes
+//!   that keep single-push semantics at one heap entry per batch,
+//! * [`TraceHash`] — the word-at-a-time running digest of a run's events,
 //! * [`TimerSlab`] — generation-checked timer handles for lazy cancellation,
 //! * [`SmallVec`] — an inline-first vector for hot-path output batches,
 //! * [`SimRng`] — a seeded, reproducible random number generator,

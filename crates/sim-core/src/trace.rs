@@ -6,9 +6,16 @@
 //! the same digest. Any hash-ordered iteration, uninitialised read, or
 //! wall-clock leak shows up as a digest mismatch within one test run.
 //!
-//! The digest is FNV-1a (64-bit): tiny, dependency-free, and plenty for
+//! The digest folds one 64-bit word per step: `x = (state ^ word) * K`,
+//! then `state = x ^ (x >> 29)`, with `K` the odd 64-bit golden-ratio
+//! constant. Every event folds several words, so a per-word step (rather
+//! than FNV-1a's eight dependent byte multiplies) keeps the hash off the
+//! per-event hot path. Each step is a bijection of the state for a fixed
+//! word and of the word for a fixed state, so changing any one folded word
+//! always changes the digest. It is tiny, dependency-free, and plenty for
 //! equality comparison (this is a replication check, not a cryptographic
-//! commitment).
+//! commitment). The accumulator is snapshot state: changing the mixer is a
+//! snapshot layout change and needs a `SNAPSHOT_VERSION` bump.
 //!
 //! # Example
 //!
@@ -27,27 +34,34 @@ pub struct TraceHash {
     state: u64,
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// The initial state (the FNV-1a offset basis; any nonzero constant works).
+const SEED: u64 = 0xCBF2_9CE4_8422_2325;
+/// The per-word multiplier: odd, so the multiply is a bijection.
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl TraceHash {
     /// A fresh digest.
     pub fn new() -> Self {
-        TraceHash { state: FNV_OFFSET }
+        TraceHash { state: SEED }
     }
 
-    /// Folds raw bytes into the digest.
+    /// Folds raw bytes into the digest as little-endian words, the last one
+    /// zero-padded. Not length-framed: use [`Self::write_str`] (or fold the
+    /// length first) when the boundary matters.
     pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
         self
     }
 
-    /// Folds a `u64` (little-endian) into the digest.
+    /// Folds one `u64` into the digest in a single mixing step.
     pub fn write_u64(&mut self, value: u64) -> &mut Self {
-        self.write_bytes(&value.to_le_bytes())
+        let x = (self.state ^ value).wrapping_mul(MIX);
+        self.state = x ^ (x >> 29);
+        self
     }
 
     /// Folds a string into the digest (length-prefixed, so `"ab", "c"` and
@@ -122,6 +136,10 @@ pub fn twin_run<T: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> T) -> T {
 mod tests {
     use super::*;
 
+    /// The digest of the fold sequence in `known_answer_digest`, computed
+    /// independently of this module from the mixer formula.
+    const KNOWN_ANSWER: u64 = 0x4B00_6D67_5C27_9F35;
+
     #[test]
     fn digest_is_order_sensitive() {
         let mut a = TraceHash::new();
@@ -149,6 +167,28 @@ mod tests {
         assert_ne!(a.digest(), b.digest(), "signed zeros are distinct traces");
     }
 
+    /// Pins the mixer. Changing this value changes every digest and the
+    /// snapshot state behind it: bump `SNAPSHOT_VERSION` in the same change.
+    #[test]
+    fn known_answer_digest() {
+        let mut h = TraceHash::new();
+        h.write_u64(0).write_u64(1).write_u64(u64::MAX).write_str("RxEnd").write_f64(-0.5);
+        assert_eq!(h.digest(), KNOWN_ANSWER);
+    }
+
+    #[test]
+    fn bytes_fold_as_zero_padded_words() {
+        let mut a = TraceHash::new();
+        a.write_bytes(b"0123456789");
+        let mut b = TraceHash::new();
+        b.write_u64(u64::from_le_bytes(*b"01234567"))
+            .write_u64(u64::from_le_bytes(*b"89\0\0\0\0\0\0"));
+        assert_eq!(a.digest(), b.digest());
+        let mut empty = TraceHash::new();
+        empty.write_bytes(&[]);
+        assert_eq!(empty.digest(), TraceHash::new().digest(), "no bytes fold no words");
+    }
+
     #[test]
     fn empty_digest_is_stable() {
         assert_eq!(TraceHash::new().digest(), TraceHash::default().digest());
@@ -172,5 +212,50 @@ mod tests {
             n += 1;
             n
         });
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn digest(words: &[u64]) -> u64 {
+        let mut h = TraceHash::new();
+        for &w in words {
+            h.write_u64(w);
+        }
+        h.digest()
+    }
+
+    proptest! {
+        /// Flipping any one bit of any one folded word changes the digest.
+        #[test]
+        fn one_bit_flip_changes_the_digest(
+            words in proptest::collection::vec(any::<u64>(), 1..16),
+            at in any::<usize>(),
+            bit in 0u32..64,
+        ) {
+            let mut flipped = words.clone();
+            let i = at % flipped.len();
+            if let Some(w) = flipped.get_mut(i) {
+                *w ^= 1 << bit;
+            }
+            prop_assert_ne!(digest(&words), digest(&flipped));
+        }
+
+        /// Swapping two adjacent, distinct words changes the digest.
+        #[test]
+        fn adjacent_swap_changes_the_digest(
+            words in proptest::collection::vec(any::<u64>(), 2..16),
+            at in any::<usize>(),
+        ) {
+            let i = at % (words.len() - 1);
+            let mut swapped = words.clone();
+            swapped.swap(i, i + 1);
+            if swapped != words {
+                prop_assert_ne!(digest(&words), digest(&swapped));
+            }
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Tier-1 differential gate for the event queue: under randomised
-//! interleavings of push / pop / `pop_nth` / lazy-cancel / tie inspection /
-//! snapshot round trips, `DriverQueue` must behave exactly like a sorted
-//! `Vec` reference model kept in this file — same timestamps, same
-//! payloads, same FIFO order among ties, same tombstone skips. The model
-//! is deliberately naive (linear insert into a `(time, seq)`-sorted list),
-//! so it is correct by inspection; the end-to-end counterpart is the
+//! interleavings of push / batch push / pop / `pop_nth` / lazy-cancel /
+//! tie inspection / snapshot round trips, `DriverQueue` must behave exactly
+//! like a sorted `Vec` reference model kept in this file — same timestamps,
+//! same payloads, same FIFO order among ties, same tombstone skips, same
+//! length. The model is deliberately naive (linear insert into a
+//! `(time, seq)`-sorted list, and a batch is its events pushed one at a
+//! time), so it is correct by inspection; the end-to-end counterpart is the
 //! corpus trace-hash pinning in `tests/scenario_corpus.rs`.
 
 use proptest::prelude::*;
@@ -106,6 +107,9 @@ enum Op {
     /// Schedule a fresh timer at `now + offset_ns` (quantised so ties are
     /// frequent — the FIFO tie discipline is the property under test).
     Push { offset_ns: u64 },
+    /// Schedule one fresh timer per offset with a single `push_batch`
+    /// (the model pushes them one at a time, in order).
+    PushBatch { offsets_ns: Vec<u64> },
     /// Pop the earliest event and compare.
     Pop,
     /// Pop the `n`-th event of the head tie run (possibly out of range,
@@ -118,9 +122,20 @@ enum Op {
     Snapshot,
 }
 
+/// A push offset: quantised (ties with other pushes), zero (ties with the
+/// head), or a far-future outlier.
+fn offset_ns(x: u64) -> u64 {
+    match x % 16 {
+        v @ 0..=7 => v * 125_000,
+        8..=11 => 0,
+        v => (v - 11) * 1_000_000_000,
+    }
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..10, 0u64..64).prop_map(|(discriminant, x)| match discriminant {
-        // Quantised offsets (weight 3/10): ~1/8 of pushes collide exactly
+    let batch = proptest::collection::vec(0u64..16, 0..12);
+    (0u8..12, 0u64..64, batch).prop_map(|(discriminant, x, batch)| match discriminant {
+        // Quantised offsets (weight 3/12): ~1/8 of pushes collide exactly
         // in time, so the FIFO tie discipline is constantly under load.
         0..=2 => Op::Push { offset_ns: (x % 8) * 125_000 },
         // Same-instant pushes build long tie runs for `pop_nth`.
@@ -128,9 +143,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         // Far-future outliers keep a long tail behind the head.
         4 => Op::Push { offset_ns: (1 + x % 4) * 1_000_000_000 },
         5 | 6 => Op::Pop,
-        7 => Op::PopNth { n: (x % 5) as usize },
+        // Indices past the head entry reach into the middle of a batch's
+        // tie run (or past the run, which must remove nothing).
+        7 => Op::PopNth { n: (x % 8) as usize },
         8 => Op::Cancel { sel: x as usize },
-        _ => Op::Snapshot,
+        9 => Op::Snapshot,
+        // Batches, from empty (a no-op) to a dozen events, tied among
+        // themselves and with single entries.
+        _ => Op::PushBatch { offsets_ns: batch.into_iter().map(offset_ns).collect() },
     })
 }
 
@@ -142,6 +162,61 @@ fn round_trip(queue: &DriverQueue<TimerHandle>) -> DriverQueue<TimerHandle> {
     let restored = DriverQueue::decode(&mut r).expect("own snapshot decodes");
     r.finish().expect("decode consumes every byte");
     restored
+}
+
+/// A snapshot taken part-way through a batch (some of its events popped,
+/// some tied with single entries) decodes to a queue that pops the same
+/// sequence as the original and as the model, and keeps `len` in step.
+#[test]
+fn snapshot_mid_batch_pops_the_same_sequence() {
+    let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+    let mut queue = DriverQueue::new(SchedulerKind::Heap);
+    let mut model = Model::new();
+    let mut payload = 0u64;
+    let mut single = |q: &mut DriverQueue<u64>, m: &mut Model<u64>, us: u64| {
+        q.push(at(us), payload);
+        m.push(at(us), payload);
+        payload += 1;
+    };
+    single(&mut queue, &mut model, 10);
+    let batch: Vec<(SimTime, u64)> = [30, 10, 20, 10, 40, 20]
+        .iter()
+        .enumerate()
+        .map(|(i, &us)| (at(us), 100 + i as u64))
+        .collect();
+    for &(t, p) in &batch {
+        model.push(t, p);
+    }
+    queue.push_batch(batch);
+    single(&mut queue, &mut model, 20);
+    // Pop into the batch: the single at 10, then the batch's first tie.
+    for _ in 0..2 {
+        assert_eq!(queue.pop(), model.pop_nth(0));
+    }
+    let mut ties = Vec::new();
+    queue.for_each_tie(|&p| ties.push(p));
+    assert_eq!(ties, model.ties(), "the rest of the tie run lives inside the batch");
+    let mut restored = {
+        let mut w = SnapshotWriter::new();
+        queue.encode(&mut w);
+        let bytes = w.finish();
+        DriverQueue::<u64>::decode(&mut SnapshotReader::new(&bytes)).expect("own snapshot decodes")
+    };
+    assert_eq!(restored.len(), model.entries.len());
+    // Fresh pushes after the restore tie-break identically on both sides.
+    for q in [&mut queue, &mut restored] {
+        q.push(at(20), 999);
+    }
+    model.push(at(20), 999);
+    loop {
+        let expected = model.pop_nth(0);
+        assert_eq!(queue.pop(), expected);
+        assert_eq!(restored.pop(), expected);
+        assert_eq!((queue.len(), restored.len()), (model.entries.len(), model.entries.len()));
+        if expected.is_none() {
+            break;
+        }
+    }
 }
 
 proptest! {
@@ -167,6 +242,16 @@ proptest! {
             queue.for_each_tie(|&h| ties.push(h));
             prop_assert_eq!(ties, model.ties(), "tie runs diverged");
             match *op {
+                Op::PushBatch { ref offsets_ns } => {
+                    let mut batch = Vec::new();
+                    for &offset_ns in offsets_ns {
+                        let at = model.now + SimDuration::from_nanos(offset_ns);
+                        let handle = books.schedule();
+                        batch.push((at, handle));
+                        model.push(at, handle);
+                    }
+                    queue.push_batch(batch);
+                }
                 Op::Push { offset_ns } => {
                     let at = model.now + SimDuration::from_nanos(offset_ns);
                     let handle = books.schedule();

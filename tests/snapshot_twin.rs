@@ -204,11 +204,11 @@ fn restore_rejects_an_older_snapshot_version() {
     let mut bytes = sim.snapshot();
     assert_eq!(&bytes[..SNAPSHOT_MAGIC.len()], SNAPSHOT_MAGIC.as_slice());
     let old = SNAPSHOT_VERSION - 1;
-    assert_eq!(old, 2, "the previous format is version 2");
+    assert_eq!(old, 3, "the previous format is version 3");
     bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2].copy_from_slice(&old.to_le_bytes());
 
     let mut fresh = build_sim(&script);
-    assert_eq!(fresh.restore(&bytes), Err(SnapError::UnsupportedVersion(2)));
+    assert_eq!(fresh.restore(&bytes), Err(SnapError::UnsupportedVersion(3)));
     // The refused restore left the target untouched.
     assert_eq!(fresh.perf().events_processed, 0);
 }
