@@ -1,143 +1,21 @@
 //! The runtime cross-layer invariant checker.
 //!
-//! The simulator translates its trace into owned [`CheckEvent`]s and feeds
-//! them to an [`InvariantChecker`]; the checker asserts protocol properties
-//! that must hold no matter what a fault scenario does to the network, and
-//! records a [`Violation`] (with the recent event trail) when one breaks.
+//! The simulator feeds the same typed [`TraceRecord`]s it writes to its
+//! trace log to an [`InvariantChecker`], whatever the log's filter admits.
+//! The checker asserts protocol properties that must hold no matter what a
+//! fault scenario does to the network, and records a [`Violation`] when one
+//! breaks. Records no invariant reads (receptions, backoffs, route-table
+//! changes, enqueues, ACK sends, moves) return before they are counted or
+//! trailed, so [`InvariantChecker::events_seen`] counts facts checked.
+//!
+//! The trail of recent facts is a ring of [`TraceEntry`]s; it is rendered
+//! as ns-2 lines ([`tracelog::ns2::line`]) only when a violation prints.
 
 use std::collections::VecDeque;
 
 use sim_core::{DetMap, DetSet, SimDuration, SimTime};
+use tracelog::{ns2, PacketKind, TraceEntry, TraceRecord};
 use wire::{FlowId, NodeId};
-
-/// One cross-layer observation from the simulator, in checker vocabulary.
-///
-/// `uid`s are wire-level packet identities; the checker only tracks uids it
-/// saw born in an [`CheckEvent::Injected`] event (transport data packets),
-/// so routing-internal traffic never confuses the conservation ledger.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CheckEvent {
-    /// A transport data segment entered the network at its source.
-    Injected {
-        /// Source node.
-        node: NodeId,
-        /// Owning flow.
-        flow: FlowId,
-        /// Wire-level packet uid.
-        uid: u64,
-    },
-    /// AODV forwarded (or originated) a packet towards `next_hop`.
-    Forwarded {
-        /// Forwarding node.
-        node: NodeId,
-        /// Chosen next hop (may be broadcast for routing control).
-        next_hop: NodeId,
-        /// Wire-level packet uid.
-        uid: u64,
-        /// Whether the packet carries TCP data.
-        is_data: bool,
-        /// For unicast data: expiry of the route entry used, as observed at
-        /// forward time. `None` means no valid route backed the forward.
-        route_valid_until: Option<SimTime>,
-    },
-    /// A packet reached its destination node's transport layer.
-    Delivered {
-        /// Destination node.
-        node: NodeId,
-        /// Owning flow.
-        flow: FlowId,
-        /// Wire-level packet uid.
-        uid: u64,
-        /// Whether this was a data segment (vs. a pure ACK).
-        is_data: bool,
-        /// The receiver's next expected in-order sequence number *after*
-        /// absorbing the segment (data only; echoes the ACK for ACKs).
-        rcv_nxt_after: u64,
-    },
-    /// The interface queue dropped a packet (overflow, RED, blackhole).
-    QueueDrop {
-        /// Dropping node.
-        node: NodeId,
-        /// Wire-level packet uid.
-        uid: u64,
-    },
-    /// AODV dropped a packet (no route, TTL, buffer overflow, discovery
-    /// failure, or broken-link transit data).
-    RoutingDrop {
-        /// Dropping node.
-        node: NodeId,
-        /// Wire-level packet uid.
-        uid: u64,
-    },
-    /// Fault injection destroyed a packet in custody (e.g. a node kill
-    /// flushing its queues).
-    FaultDrop {
-        /// Node whose custody was wiped.
-        node: NodeId,
-        /// Wire-level packet uid.
-        uid: u64,
-    },
-    /// The MAC exhausted retries towards `next_hop` (link-layer failure).
-    LinkFailure {
-        /// Transmitting node.
-        node: NodeId,
-        /// Unreachable neighbor.
-        next_hop: NodeId,
-    },
-    /// The node broadcast an AODV route-error message.
-    RerrSent {
-        /// Origin of the RERR.
-        node: NodeId,
-    },
-    /// A frame hit the air.
-    FrameSent {
-        /// Transmitting node.
-        node: NodeId,
-        /// Time the frame occupies the medium.
-        airtime: SimDuration,
-        /// The sender's current contention window.
-        cw: u32,
-        /// How far beyond `now` the sender's NAV currently reaches.
-        nav_ahead: SimDuration,
-    },
-    /// A sender's congestion state, sampled periodically.
-    CwndUpdate {
-        /// Sending node.
-        node: NodeId,
-        /// Owning flow.
-        flow: FlowId,
-        /// TCP variant name (for diagnostics).
-        variant: &'static str,
-        /// Congestion window, in segments.
-        cwnd: f64,
-        /// Slow-start threshold, if the variant maintains one.
-        ssthresh: Option<f64>,
-    },
-    /// The scenario forced the `a`—`b` link down.
-    ScriptedLinkDown {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// The scenario released the `a`—`b` link.
-    ScriptedLinkUp {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// The scenario took a node down (kill or pause).
-    NodeDown {
-        /// The affected node.
-        node: NodeId,
-    },
-    /// The scenario brought a node back (revive or resume).
-    NodeUp {
-        /// The affected node.
-        node: NodeId,
-    },
-}
 
 /// Tunable bounds for the checker's sanity invariants.
 #[derive(Clone, Copy, Debug)]
@@ -155,7 +33,7 @@ pub struct CheckerLimits {
     /// A link failure within this window of data activity on a scripted-down
     /// link obliges the node to emit a RERR.
     pub rerr_window: SimDuration,
-    /// How many recent events a violation's trail captures.
+    /// How many recent checked records a violation's trail captures.
     pub trail_len: usize,
 }
 
@@ -175,24 +53,25 @@ impl Default for CheckerLimits {
     }
 }
 
-/// A broken invariant, with the event trail that led up to it.
+/// A broken invariant, with the trail of checked records that led up to it.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Virtual time of the offending event (or of `finish`).
+    /// Virtual time of the offending record (or of `finish`).
     pub at: SimTime,
     /// Stable invariant identifier (see the DESIGN.md catalogue).
     pub invariant: &'static str,
     /// Human-readable description of what broke.
     pub detail: String,
-    /// The most recent events before the violation, oldest first.
-    pub trail: Vec<String>,
+    /// The most recent checked records up to and including the offending
+    /// one, oldest first. `Display` renders them as ns-2 lines.
+    pub trail: Vec<TraceEntry>,
 }
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "[{}] t={:.6}s {}", self.invariant, self.at.as_secs_f64(), self.detail)?;
-        for line in &self.trail {
-            writeln!(f, "    {line}")?;
+        for entry in &self.trail {
+            writeln!(f, "    {}", ns2::line(entry))?;
         }
         Ok(())
     }
@@ -210,7 +89,7 @@ pub struct LedgerSummary {
     pub dropped: u64,
     /// Injected packets destroyed by fault injection.
     pub fault_dropped: u64,
-    /// Injected packets with no terminal event yet.
+    /// Injected packets with no terminal record yet.
     pub in_flight: u64,
 }
 
@@ -229,16 +108,16 @@ struct RerrObligation {
     at: SimTime,
 }
 
-/// Runtime invariant checker over the simulator's event stream.
+/// Runtime invariant checker over the simulator's record stream.
 ///
-/// Feed events with [`on_event`](Self::on_event), call
+/// Feed records with [`on_record`](Self::on_record), call
 /// [`finish`](Self::finish) once at the end of the run, then inspect
 /// [`violations`](Self::violations).
 #[derive(Clone, Debug, Default)]
 pub struct InvariantChecker {
     limits: CheckerLimits,
     events_seen: u64,
-    trail: VecDeque<String>,
+    trail: VecDeque<TraceEntry>,
     violations: Vec<Violation>,
     /// Per-flow high-water mark of the receiver's `rcv_nxt`.
     rcv_nxt: DetMap<FlowId, u64>,
@@ -246,8 +125,6 @@ pub struct InvariantChecker {
     uids: DetMap<u64, UidState>,
     /// Links currently forced down by the scenario (normalised pairs).
     down_links: DetSet<(NodeId, NodeId)>,
-    /// Nodes currently down (killed or paused) by the scenario.
-    down_nodes: DetSet<NodeId>,
     /// `(node, neighbor)` pairs where the node has observed a link-layer
     /// failure on a scripted-down link; forwarding data there again while
     /// the link stays down is a stale-route bug.
@@ -279,7 +156,8 @@ impl InvariantChecker {
         InvariantChecker { limits, ..InvariantChecker::default() }
     }
 
-    /// Number of events observed so far.
+    /// Number of records checked so far (records no invariant reads are
+    /// not counted).
     pub fn events_seen(&self) -> u64 {
         self.events_seen
     }
@@ -310,20 +188,35 @@ impl InvariantChecker {
     }
 
     fn violate(&mut self, at: SimTime, invariant: &'static str, detail: String) {
-        let trail = self.trail.iter().cloned().collect();
+        let trail = self.trail.iter().copied().collect();
         self.violations.push(Violation { at, invariant, detail, trail });
     }
 
-    /// Observes one event.
-    pub fn on_event(&mut self, now: SimTime, ev: &CheckEvent) {
+    /// Checks one record observed at virtual time `now`.
+    pub fn on_record(&mut self, now: SimTime, record: &TraceRecord) {
+        if matches!(
+            record,
+            TraceRecord::PhyRx { .. }
+                | TraceRecord::PhyCollision { .. }
+                | TraceRecord::PhyLoss { .. }
+                | TraceRecord::PhyMove { .. }
+                | TraceRecord::MacBackoff { .. }
+                | TraceRecord::RtrRecv { .. }
+                | TraceRecord::RtrRouteChange { .. }
+                | TraceRecord::IfqEnqueue { .. }
+                | TraceRecord::IfqMark { .. }
+                | TraceRecord::TcpAckTx { .. }
+        ) {
+            return;
+        }
         self.events_seen += 1;
         if self.trail.len() == self.limits.trail_len {
             self.trail.pop_front();
         }
-        self.trail.push_back(format!("t={:.6}s {ev:?}", now.as_secs_f64()));
-        match ev {
-            CheckEvent::Injected { node, flow, uid } => {
-                if self.uids.insert(*uid, UidState::InFlight).is_some() {
+        self.trail.push_back(TraceEntry { at: now, record: *record });
+        match *record {
+            TraceRecord::TcpSend { node, flow, uid, .. } => {
+                if self.uids.insert(uid, UidState::InFlight).is_some() {
                     self.violate(
                         now,
                         "conservation",
@@ -331,8 +224,12 @@ impl InvariantChecker {
                     );
                 }
             }
-            CheckEvent::Forwarded { node, next_hop, uid, is_data, route_valid_until } => {
-                if *is_data && !next_hop.is_broadcast() {
+            TraceRecord::RtrForward { node, next_hop, kind, uid, route_valid_until, .. } => {
+                if kind == PacketKind::Rerr {
+                    self.rerr_sent.insert(node, now);
+                    self.rerr_due.retain(|o| o.node != node);
+                }
+                if kind == PacketKind::TcpData && !next_hop.is_broadcast() {
                     match route_valid_until {
                         None => self.violate(
                             now,
@@ -342,7 +239,7 @@ impl InvariantChecker {
                                  with no valid route entry"
                             ),
                         ),
-                        Some(expires) if *expires <= now => self.violate(
+                        Some(expires) if expires <= now => self.violate(
                             now,
                             "aodv-route-fresh",
                             format!(
@@ -353,9 +250,9 @@ impl InvariantChecker {
                         ),
                         Some(_) => {}
                     }
-                    self.last_data_forward.insert((*node, *next_hop), now);
-                    if self.dead_observed.contains(&(*node, *next_hop))
-                        && self.down_links.contains(&link_key(*node, *next_hop))
+                    self.last_data_forward.insert((node, next_hop), now);
+                    if self.dead_observed.contains(&(node, next_hop))
+                        && self.down_links.contains(&link_key(node, next_hop))
                     {
                         self.violate(
                             now,
@@ -368,62 +265,48 @@ impl InvariantChecker {
                     }
                 }
             }
-            CheckEvent::Delivered { node, flow, uid, is_data, rcv_nxt_after } => {
-                if *is_data {
-                    if !self.uids.contains_key(uid) {
-                        self.violate(
-                            now,
-                            "conservation",
-                            format!(
-                                "data uid {uid:#x} delivered at {node} but was never \
-                                 injected"
-                            ),
-                        );
-                    }
-                    let prev = self.rcv_nxt.get(flow).copied().unwrap_or(0);
-                    if *rcv_nxt_after < prev {
-                        self.violate(
-                            now,
-                            "tcp-monotone",
-                            format!(
-                                "flow {flow}: receiver rcv_nxt went backwards \
-                                 ({prev} -> {rcv_nxt_after}) at {node}"
-                            ),
-                        );
-                    } else {
-                        self.rcv_nxt.insert(*flow, *rcv_nxt_after);
-                    }
+            TraceRecord::TcpRecvData { node, flow, uid, rcv_nxt_after, .. } => {
+                if !self.uids.contains_key(&uid) {
+                    self.violate(
+                        now,
+                        "conservation",
+                        format!("data uid {uid:#x} delivered at {node} but was never injected"),
+                    );
                 }
-                self.terminate(now, *uid, UidState::Delivered);
+                let prev = self.rcv_nxt.get(&flow).copied().unwrap_or(0);
+                if rcv_nxt_after < prev {
+                    self.violate(
+                        now,
+                        "tcp-monotone",
+                        format!(
+                            "flow {flow}: receiver rcv_nxt went backwards \
+                             ({prev} -> {rcv_nxt_after}) at {node}"
+                        ),
+                    );
+                } else {
+                    self.rcv_nxt.insert(flow, rcv_nxt_after);
+                }
+                self.terminate(uid, UidState::Delivered);
             }
-            CheckEvent::QueueDrop { uid, .. } | CheckEvent::RoutingDrop { uid, .. } => {
-                self.terminate(now, *uid, UidState::Dropped);
+            TraceRecord::TcpRecvAck { uid, .. } => self.terminate(uid, UidState::Delivered),
+            TraceRecord::IfqDrop { uid, .. } | TraceRecord::RtrDrop { uid, .. } => {
+                self.terminate(uid, UidState::Dropped);
             }
-            CheckEvent::FaultDrop { uid, .. } => {
-                self.terminate(now, *uid, UidState::FaultDropped);
-            }
-            CheckEvent::LinkFailure { node, next_hop } => {
-                if self.down_links.contains(&link_key(*node, *next_hop)) {
-                    self.dead_observed.insert((*node, *next_hop));
+            TraceRecord::FaultDrop { uid, .. } => self.terminate(uid, UidState::FaultDropped),
+            TraceRecord::MacRetryDrop { node, next_hop, .. } => {
+                if self.down_links.contains(&link_key(node, next_hop)) {
+                    self.dead_observed.insert((node, next_hop));
                     let active = self
                         .last_data_forward
-                        .get(&(*node, *next_hop))
+                        .get(&(node, next_hop))
                         .is_some_and(|&t| now <= t + self.limits.rerr_window);
                     if active {
-                        self.rerr_due.push(RerrObligation {
-                            node: *node,
-                            neighbor: *next_hop,
-                            at: now,
-                        });
+                        self.rerr_due.push(RerrObligation { node, neighbor: next_hop, at: now });
                     }
                 }
             }
-            CheckEvent::RerrSent { node } => {
-                self.rerr_sent.insert(*node, now);
-                self.rerr_due.retain(|o| o.node != *node);
-            }
-            CheckEvent::FrameSent { node, airtime, cw, nav_ahead } => {
-                if *airtime > self.limits.max_airtime {
+            TraceRecord::PhyTx { node, airtime, cw, nav_ahead, .. } => {
+                if airtime > self.limits.max_airtime {
                     self.violate(
                         now,
                         "mac-bounds",
@@ -435,7 +318,7 @@ impl InvariantChecker {
                         ),
                     );
                 }
-                if *cw < self.limits.cw_min || *cw > self.limits.cw_max {
+                if cw < self.limits.cw_min || cw > self.limits.cw_max {
                     self.violate(
                         now,
                         "mac-bounds",
@@ -445,7 +328,7 @@ impl InvariantChecker {
                         ),
                     );
                 }
-                if *nav_ahead > self.limits.max_nav_ahead {
+                if nav_ahead > self.limits.max_nav_ahead {
                     self.violate(
                         now,
                         "mac-bounds",
@@ -457,44 +340,48 @@ impl InvariantChecker {
                     );
                 }
             }
-            CheckEvent::CwndUpdate { node, flow, variant, cwnd, ssthresh } => {
-                if !cwnd.is_finite() || *cwnd <= 0.0 || *cwnd > self.limits.max_cwnd_segments {
+            TraceRecord::TcpCwnd { node, flow, cwnd, ssthresh, phase, .. } => {
+                if !cwnd.is_finite() || cwnd <= 0.0 || cwnd > self.limits.max_cwnd_segments {
                     self.violate(
                         now,
                         "tcp-cwnd-sane",
-                        format!("flow {flow} ({variant}) at {node}: insane cwnd {cwnd}"),
+                        format!("flow {flow} ({phase}) at {node}: insane cwnd {cwnd}"),
                     );
                 }
                 if let Some(ss) = ssthresh {
-                    if !ss.is_finite() || *ss <= 0.0 {
+                    if !ss.is_finite() || ss <= 0.0 {
                         self.violate(
                             now,
                             "tcp-cwnd-sane",
-                            format!("flow {flow} ({variant}) at {node}: insane ssthresh {ss}"),
+                            format!("flow {flow} ({phase}) at {node}: insane ssthresh {ss}"),
                         );
                     }
                 }
             }
-            CheckEvent::ScriptedLinkDown { a, b } => {
-                self.down_links.insert(link_key(*a, *b));
+            TraceRecord::LinkDown { a, b } => {
+                self.down_links.insert(link_key(a, b));
             }
-            CheckEvent::ScriptedLinkUp { a, b } => {
-                self.down_links.remove(&link_key(*a, *b));
-                self.dead_observed.remove(&(*a, *b));
-                self.dead_observed.remove(&(*b, *a));
-                self.rerr_due.retain(|o| link_key(o.node, o.neighbor) != link_key(*a, *b));
+            TraceRecord::LinkUp { a, b } => {
+                self.down_links.remove(&link_key(a, b));
+                self.dead_observed.remove(&(a, b));
+                self.dead_observed.remove(&(b, a));
+                self.rerr_due.retain(|o| link_key(o.node, o.neighbor) != link_key(a, b));
             }
-            CheckEvent::NodeDown { node } => {
-                self.down_nodes.insert(*node);
-            }
-            CheckEvent::NodeUp { node } => {
-                self.down_nodes.remove(node);
-            }
+            TraceRecord::PhyRx { .. }
+            | TraceRecord::PhyCollision { .. }
+            | TraceRecord::PhyLoss { .. }
+            | TraceRecord::PhyMove { .. }
+            | TraceRecord::MacBackoff { .. }
+            | TraceRecord::RtrRecv { .. }
+            | TraceRecord::RtrRouteChange { .. }
+            | TraceRecord::IfqEnqueue { .. }
+            | TraceRecord::IfqMark { .. }
+            | TraceRecord::TcpAckTx { .. } => {}
         }
     }
 
-    fn terminate(&mut self, _now: SimTime, uid: u64, to: UidState) {
-        // Only packets born in an `Injected` event participate in the
+    fn terminate(&mut self, uid: u64, to: UidState) {
+        // Only packets born in a `TcpSend` record participate in the
         // ledger; routing control and ACK uids pass through untracked.
         // A second terminal is tolerated: a lost MAC-level ACK legitimately
         // duplicates custody (the data arrived, the sender retries), so the
@@ -532,6 +419,7 @@ impl InvariantChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wire::FrameKind;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
@@ -543,29 +431,95 @@ mod tests {
 
     const FLOW: FlowId = FlowId::new(0);
 
-    fn delivered(uid: u64, rcv_nxt_after: u64) -> CheckEvent {
-        CheckEvent::Delivered { node: n(3), flow: FLOW, uid, is_data: true, rcv_nxt_after }
+    fn injected(uid: u64) -> TraceRecord {
+        TraceRecord::TcpSend {
+            node: n(0),
+            flow: FLOW,
+            seq: uid,
+            uid,
+            bytes: 1500,
+            retransmit: false,
+        }
     }
 
-    fn injected(uid: u64) -> CheckEvent {
-        CheckEvent::Injected { node: n(0), flow: FLOW, uid }
+    fn delivered(uid: u64, rcv_nxt_after: u64) -> TraceRecord {
+        TraceRecord::TcpRecvData {
+            node: n(3),
+            flow: FLOW,
+            seq: uid,
+            uid,
+            avbw: None,
+            marked: false,
+            rcv_nxt_after,
+        }
+    }
+
+    fn forward(
+        next_hop: NodeId,
+        kind: PacketKind,
+        uid: u64,
+        route_valid_until: Option<SimTime>,
+    ) -> TraceRecord {
+        TraceRecord::RtrForward {
+            node: n(1),
+            next_hop,
+            kind,
+            uid,
+            flow: Some(FLOW),
+            bytes: 1540,
+            ttl: 30,
+            origin: false,
+            route_valid_until,
+        }
+    }
+
+    fn data_forward(uid: u64, route_valid_until: Option<SimTime>) -> TraceRecord {
+        forward(n(2), PacketKind::TcpData, uid, route_valid_until)
+    }
+
+    fn rerr_forward() -> TraceRecord {
+        forward(NodeId::BROADCAST, PacketKind::Rerr, 500, None)
+    }
+
+    fn retry_drop() -> TraceRecord {
+        TraceRecord::MacRetryDrop { node: n(1), next_hop: n(2), uid: 1 }
+    }
+
+    fn frame(airtime: SimDuration, cw: u32, nav_ahead: SimDuration) -> TraceRecord {
+        TraceRecord::PhyTx {
+            node: n(0),
+            dst: n(1),
+            frame: FrameKind::Data,
+            bytes: 1500,
+            uid: Some(1),
+            airtime,
+            cw,
+            nav_ahead,
+        }
+    }
+
+    fn cwnd(cwnd: f64, ssthresh: Option<f64>) -> TraceRecord {
+        TraceRecord::TcpCwnd {
+            node: n(0),
+            flow: FLOW,
+            cwnd,
+            ssthresh,
+            srtt: None,
+            rto: None,
+            phase: "slow-start",
+        }
+    }
+
+    fn link_down() -> TraceRecord {
+        TraceRecord::LinkDown { a: n(1), b: n(2) }
     }
 
     #[test]
     fn clean_stream_stays_clean() {
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &injected(1));
-        c.on_event(
-            t(1.1),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 1,
-                is_data: true,
-                route_valid_until: Some(t(4.0)),
-            },
-        );
-        c.on_event(t(1.2), &delivered(1, 1460));
+        c.on_record(t(1.0), &injected(1));
+        c.on_record(t(1.1), &data_forward(1, Some(t(4.0))));
+        c.on_record(t(1.2), &delivered(1, 1460));
         c.finish(t(2.0));
         assert!(c.is_clean(), "{:?}", c.violations());
         assert_eq!(
@@ -577,10 +531,10 @@ mod tests {
     #[test]
     fn receiver_regression_is_flagged() {
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &injected(1));
-        c.on_event(t(1.1), &delivered(1, 2920));
-        c.on_event(t(1.2), &injected(2));
-        c.on_event(t(1.3), &delivered(2, 1460)); // rcv_nxt went backwards
+        c.on_record(t(1.0), &injected(1));
+        c.on_record(t(1.1), &delivered(1, 2920));
+        c.on_record(t(1.2), &injected(2));
+        c.on_record(t(1.3), &delivered(2, 1460)); // rcv_nxt went backwards
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "tcp-monotone");
         assert!(!c.violations()[0].trail.is_empty());
@@ -589,52 +543,26 @@ mod tests {
     #[test]
     fn delivery_from_nowhere_is_flagged() {
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &delivered(77, 1460));
+        c.on_record(t(1.0), &delivered(77, 1460));
         assert_eq!(c.violations()[0].invariant, "conservation");
     }
 
     #[test]
     fn double_injection_is_flagged() {
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &injected(5));
-        c.on_event(t(1.1), &injected(5));
+        c.on_record(t(1.0), &injected(5));
+        c.on_record(t(1.1), &injected(5));
         assert_eq!(c.violations()[0].invariant, "conservation");
     }
 
     #[test]
     fn forwarding_without_route_is_flagged() {
         let mut c = InvariantChecker::new();
-        c.on_event(
-            t(2.0),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 9,
-                is_data: true,
-                route_valid_until: None,
-            },
-        );
-        c.on_event(
-            t(3.0),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 10,
-                is_data: true,
-                route_valid_until: Some(t(2.5)), // already expired
-            },
-        );
-        // Control/broadcast forwards are exempt.
-        c.on_event(
-            t(4.0),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: NodeId::BROADCAST,
-                uid: 11,
-                is_data: false,
-                route_valid_until: None,
-            },
-        );
+        c.on_record(t(2.0), &data_forward(9, None));
+        c.on_record(t(3.0), &data_forward(10, Some(t(2.5)))); // already expired
+                                                              // Control and broadcast forwards are exempt.
+        c.on_record(t(4.0), &forward(NodeId::BROADCAST, PacketKind::Rreq, 11, None));
+        c.on_record(t(4.1), &forward(n(2), PacketKind::Rrep, 12, None));
         assert_eq!(c.violations().len(), 2);
         assert!(c.violations().iter().all(|v| v.invariant == "aodv-route-fresh"));
     }
@@ -642,72 +570,59 @@ mod tests {
     #[test]
     fn forwarding_on_an_observed_dead_link_is_flagged() {
         let mut c = InvariantChecker::new();
-        let fwd = |uid| CheckEvent::Forwarded {
-            node: n(1),
-            next_hop: n(2),
-            uid,
-            is_data: true,
-            route_valid_until: Some(t(100.0)),
-        };
-        c.on_event(t(1.0), &fwd(1));
-        c.on_event(t(5.0), &CheckEvent::ScriptedLinkDown { a: n(1), b: n(2) });
+        let fwd = |uid| data_forward(uid, Some(t(100.0)));
+        c.on_record(t(1.0), &fwd(1));
+        c.on_record(t(5.0), &link_down());
         // First attempt after the break is legitimate — the node cannot
         // know yet.
-        c.on_event(t(5.1), &fwd(2));
+        c.on_record(t(5.1), &fwd(2));
         assert!(c.is_clean());
-        c.on_event(t(5.2), &CheckEvent::LinkFailure { node: n(1), next_hop: n(2) });
+        c.on_record(t(5.2), &retry_drop());
         // ...but after the MAC told it, forwarding there again is a bug.
-        c.on_event(t(5.3), &fwd(3));
+        c.on_record(t(5.3), &fwd(3));
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "aodv-dead-link");
         // Once the link heals the route may be reused.
-        c.on_event(t(6.0), &CheckEvent::ScriptedLinkUp { a: n(1), b: n(2) });
-        c.on_event(t(6.1), &fwd(4));
+        c.on_record(t(6.0), &TraceRecord::LinkUp { a: n(1), b: n(2) });
+        c.on_record(t(6.1), &fwd(4));
         assert_eq!(c.violations().len(), 1);
     }
 
     #[test]
     fn missing_rerr_is_flagged_at_finish() {
         let mut c = InvariantChecker::new();
-        c.on_event(
-            t(4.9),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 1,
-                is_data: true,
-                route_valid_until: Some(t(7.0)),
-            },
-        );
-        c.on_event(t(5.0), &CheckEvent::ScriptedLinkDown { a: n(1), b: n(2) });
-        c.on_event(t(5.1), &CheckEvent::LinkFailure { node: n(1), next_hop: n(2) });
-        let mut quiet = InvariantChecker::new();
-        std::mem::swap(&mut quiet, &mut c);
-        // Run A: no RERR ever -> violation.
-        let mut a = quiet;
-        a.finish(t(10.0));
-        assert_eq!(a.violations().len(), 1);
-        assert_eq!(a.violations()[0].invariant, "aodv-rerr");
+        c.on_record(t(4.9), &data_forward(1, Some(t(7.0))));
+        c.on_record(t(5.0), &link_down());
+        c.on_record(t(5.1), &retry_drop());
+        c.finish(t(10.0));
+        assert_eq!(c.violations().len(), 1);
+        assert_eq!(c.violations()[0].invariant, "aodv-rerr");
     }
 
     #[test]
     fn rerr_discharges_the_obligation() {
         let mut c = InvariantChecker::new();
-        c.on_event(
-            t(4.9),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 1,
-                is_data: true,
-                route_valid_until: Some(t(7.0)),
-            },
-        );
-        c.on_event(t(5.0), &CheckEvent::ScriptedLinkDown { a: n(1), b: n(2) });
-        c.on_event(t(5.1), &CheckEvent::LinkFailure { node: n(1), next_hop: n(2) });
-        c.on_event(t(5.1), &CheckEvent::RerrSent { node: n(1) });
+        c.on_record(t(4.9), &data_forward(1, Some(t(7.0))));
+        c.on_record(t(5.0), &link_down());
+        c.on_record(t(5.1), &retry_drop());
+        c.on_record(t(5.1), &rerr_forward());
         c.finish(t(10.0));
         assert!(c.is_clean(), "{:?}", c.violations());
+    }
+
+    #[test]
+    fn only_a_rerr_forward_discharges_the_obligation() {
+        // The same broadcast forward with any other packet kind leaves the
+        // obligation standing; only `kind == Rerr` answers it.
+        for (kind, clean) in [(PacketKind::Rerr, true), (PacketKind::Rreq, false)] {
+            let mut c = InvariantChecker::new();
+            c.on_record(t(4.9), &data_forward(1, Some(t(7.0))));
+            c.on_record(t(5.0), &link_down());
+            c.on_record(t(5.1), &retry_drop());
+            c.on_record(t(5.2), &forward(NodeId::BROADCAST, kind, 500, None));
+            c.finish(t(10.0));
+            assert_eq!(c.is_clean(), clean, "{kind:?}: {:?}", c.violations());
+        }
     }
 
     #[test]
@@ -715,8 +630,8 @@ mod tests {
         // A failure on a scripted-down link the node was not actively using
         // for data must not demand a RERR (there may be no route to report).
         let mut c = InvariantChecker::new();
-        c.on_event(t(5.0), &CheckEvent::ScriptedLinkDown { a: n(1), b: n(2) });
-        c.on_event(t(9.0), &CheckEvent::LinkFailure { node: n(1), next_hop: n(2) });
+        c.on_record(t(5.0), &link_down());
+        c.on_record(t(9.0), &retry_drop());
         c.finish(t(10.0));
         assert!(c.is_clean());
     }
@@ -724,64 +639,61 @@ mod tests {
     #[test]
     fn mac_bounds_are_enforced() {
         let mut c = InvariantChecker::new();
-        c.on_event(
+        c.on_record(
             t(1.0),
-            &CheckEvent::FrameSent {
-                node: n(0),
-                airtime: SimDuration::from_millis(25),
-                cw: 2048,
-                nav_ahead: SimDuration::from_millis(60),
-            },
+            &frame(SimDuration::from_millis(25), 2048, SimDuration::from_millis(60)),
         );
         assert_eq!(c.violations().len(), 3);
         assert!(c.violations().iter().all(|v| v.invariant == "mac-bounds"));
         // A legal frame is quiet.
-        c.on_event(
-            t(1.1),
-            &CheckEvent::FrameSent {
-                node: n(0),
-                airtime: SimDuration::from_micros(6328),
-                cw: 31,
-                nav_ahead: SimDuration::ZERO,
-            },
-        );
+        c.on_record(t(1.1), &frame(SimDuration::from_micros(6328), 31, SimDuration::ZERO));
         assert_eq!(c.violations().len(), 3);
     }
 
     #[test]
     fn cwnd_sanity_is_enforced() {
         let mut c = InvariantChecker::new();
-        let up = |cwnd: f64, ssthresh: Option<f64>| CheckEvent::CwndUpdate {
-            node: n(0),
-            flow: FLOW,
-            variant: "NewReno",
-            cwnd,
-            ssthresh,
-        };
-        c.on_event(t(1.0), &up(2.5, Some(64.0)));
+        c.on_record(t(1.0), &cwnd(2.5, Some(64.0)));
         assert!(c.is_clean());
-        c.on_event(t(1.1), &up(f64::NAN, None));
-        c.on_event(t(1.2), &up(0.0, None));
-        c.on_event(t(1.3), &up(4.0, Some(f64::INFINITY)));
+        c.on_record(t(1.1), &cwnd(f64::NAN, None));
+        c.on_record(t(1.2), &cwnd(0.0, None));
+        c.on_record(t(1.3), &cwnd(4.0, Some(f64::INFINITY)));
         assert_eq!(c.violations().len(), 3);
         assert!(c.violations().iter().all(|v| v.invariant == "tcp-cwnd-sane"));
     }
 
     #[test]
+    fn nan_cwnd_trips_the_sanity_check_and_names_the_phase() {
+        let mut c = InvariantChecker::new();
+        c.on_record(t(1.0), &cwnd(f64::NAN, Some(32.0)));
+        assert_eq!(c.violations().len(), 1);
+        let v = &c.violations()[0];
+        assert_eq!(v.invariant, "tcp-cwnd-sane");
+        assert!(v.detail.contains("(slow-start)") && v.detail.contains("NaN"), "{}", v.detail);
+    }
+
+    #[test]
     fn ledger_tracks_every_terminal_kind() {
         let mut c = InvariantChecker::new();
-        for uid in 1..=4 {
-            c.on_event(t(1.0), &injected(uid));
+        for uid in 1..=5 {
+            c.on_record(t(1.0), &injected(uid));
         }
-        c.on_event(t(2.0), &delivered(1, 1460));
-        c.on_event(t(2.1), &CheckEvent::QueueDrop { node: n(1), uid: 2 });
-        c.on_event(t(2.2), &CheckEvent::FaultDrop { node: n(1), uid: 3 });
+        c.on_record(t(2.0), &delivered(1, 1460));
+        c.on_record(t(2.1), &TraceRecord::IfqDrop { node: n(1), uid: 2, flow: None, early: false });
+        c.on_record(t(2.2), &TraceRecord::FaultDrop { node: n(1), uid: 3 });
+        c.on_record(
+            t(2.3),
+            &TraceRecord::RtrDrop { node: n(1), kind: PacketKind::TcpData, uid: 4, flow: None },
+        );
         // Untracked uid: ignored by the ledger.
-        c.on_event(t(2.3), &CheckEvent::RoutingDrop { node: n(1), uid: 999 });
+        c.on_record(
+            t(2.4),
+            &TraceRecord::RtrDrop { node: n(1), kind: PacketKind::Rreq, uid: 999, flow: None },
+        );
         let s = c.ledger();
         assert_eq!(
             s,
-            LedgerSummary { injected: 4, delivered: 1, dropped: 1, fault_dropped: 1, in_flight: 1 }
+            LedgerSummary { injected: 5, delivered: 1, dropped: 2, fault_dropped: 1, in_flight: 1 }
         );
         assert_eq!(s.injected, s.delivered + s.dropped + s.fault_dropped + s.in_flight);
     }
@@ -791,12 +703,67 @@ mod tests {
         // Lost MAC ACK: the data was delivered, the retrying relay later
         // drops its copy. Not a protocol violation.
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &injected(1));
-        c.on_event(t(2.0), &delivered(1, 1460));
-        c.on_event(t(2.5), &CheckEvent::RoutingDrop { node: n(1), uid: 1 });
+        c.on_record(t(1.0), &injected(1));
+        c.on_record(t(2.0), &delivered(1, 1460));
+        c.on_record(
+            t(2.5),
+            &TraceRecord::RtrDrop { node: n(1), kind: PacketKind::TcpData, uid: 1, flow: None },
+        );
         assert!(c.is_clean());
         assert_eq!(c.ledger().delivered, 1);
         assert_eq!(c.ledger().dropped, 0);
+    }
+
+    #[test]
+    fn records_without_a_rule_are_neither_counted_nor_trailed() {
+        let limits = CheckerLimits { trail_len: 4, ..CheckerLimits::default() };
+        let mut c = InvariantChecker::with_limits(limits);
+        c.on_record(t(1.0), &injected(1));
+        let ignored = [
+            TraceRecord::PhyRx {
+                node: n(1),
+                from: n(0),
+                frame: FrameKind::Data,
+                bytes: 1500,
+                uid: Some(1),
+            },
+            TraceRecord::PhyCollision { node: n(1), from: n(0), frame: FrameKind::Rts, uid: None },
+            TraceRecord::PhyLoss { node: n(1), from: n(0), frame: FrameKind::Data, uid: Some(1) },
+            TraceRecord::PhyMove { node: n(1), x: 1.0, y: 2.0 },
+            TraceRecord::MacBackoff { node: n(1), slots: 3, cw: 31 },
+            TraceRecord::RtrRecv {
+                node: n(1),
+                kind: PacketKind::TcpData,
+                uid: 1,
+                flow: Some(FLOW),
+                bytes: 1540,
+            },
+            TraceRecord::RtrRouteChange {
+                node: n(1),
+                dst: n(3),
+                next_hop: None,
+                hops: 2,
+                valid: false,
+            },
+            TraceRecord::IfqEnqueue {
+                node: n(1),
+                uid: 1,
+                flow: Some(FLOW),
+                depth: 1,
+                avbw: None,
+                marked: false,
+            },
+            TraceRecord::IfqMark { node: n(1), uid: 1, flow: Some(FLOW) },
+            TraceRecord::TcpAckTx { node: n(3), flow: FLOW, ack: 1460, uid: 2, mrai: None },
+        ];
+        for record in &ignored {
+            c.on_record(t(1.5), record);
+        }
+        assert_eq!(c.events_seen(), 1);
+        c.on_record(t(2.0), &injected(1)); // double injection: trail shows both sends
+        let v = &c.violations()[0];
+        assert_eq!(v.trail.len(), 2, "{v}");
+        assert!(v.trail.iter().all(|e| matches!(e.record, TraceRecord::TcpSend { .. })));
     }
 
     #[test]
@@ -804,12 +771,26 @@ mod tests {
         let limits = CheckerLimits { trail_len: 4, ..CheckerLimits::default() };
         let mut c = InvariantChecker::with_limits(limits);
         for uid in 0..50 {
-            c.on_event(t(1.0 + uid as f64), &injected(uid));
+            c.on_record(t(1.0 + uid as f64), &injected(uid));
         }
-        c.on_event(t(60.0), &delivered(1000, 1460));
+        c.on_record(t(60.0), &delivered(1000, 1460));
         let v = &c.violations()[0];
         assert_eq!(v.trail.len(), 4);
-        assert!(v.trail.iter().last().is_some_and(|s| s.contains("uid: 1000")));
+        let last = v.trail.last().map(ns2::line).unwrap_or_default();
+        assert!(last.starts_with("r 60.000000000 _n3_ AGT --- 1000 tcp"), "{last}");
         assert!(v.to_string().contains("conservation"));
+    }
+
+    #[test]
+    fn violation_display_renders_the_trail_as_ns2_lines() {
+        let mut c = InvariantChecker::new();
+        c.on_record(t(1.0), &injected(7));
+        c.on_record(t(1.5), &injected(7));
+        let text = c.violations()[0].to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].starts_with("[conservation] t=1.500000s"), "{text}");
+        assert_eq!(lines[1], "    s 1.000000000 _n0_ AGT --- 7 tcp 1500 [f0 seq 7]");
+        assert_eq!(lines[2], "    s 1.500000000 _n0_ AGT --- 7 tcp 1500 [f0 seq 7]");
     }
 }

@@ -11,17 +11,19 @@
 //!   as ordinary sim-time events, so a scripted run is exactly as
 //!   reproducible as a clean one: same seed + same script ⇒ identical
 //!   `trace_hash` on twin runs.
-//! * [`InvariantChecker`] — a cross-layer runtime checker fed a stream of
-//!   [`CheckEvent`]s by the simulator. It asserts, on every event, the
-//!   protocol properties that must hold *regardless* of what the scenario
-//!   does to the network: receiver sequence monotonicity, cwnd/ssthresh
-//!   sanity, AODV route freshness (no forwarding on expired or known-dead
-//!   routes, RERR actually emitted on a scripted break), MAC airtime /
-//!   NAV / contention-window bounds, and packet conservation. Violations
-//!   carry the tail of the event trace for diagnosis.
+//! * [`InvariantChecker`] — a cross-layer runtime checker fed the
+//!   simulator's one observation stream, the typed
+//!   [`tracelog::TraceRecord`]s its choke points also write to the trace
+//!   log. It asserts, on every record it has a rule for, the protocol
+//!   properties that must hold *regardless* of what the scenario does to
+//!   the network: receiver sequence monotonicity, cwnd/ssthresh sanity,
+//!   AODV route freshness (no forwarding on expired or known-dead routes,
+//!   RERR actually emitted on a scripted break), MAC airtime / NAV /
+//!   contention-window bounds, and packet conservation. Violations carry
+//!   the tail of the checked records, rendered as ns-2 lines.
 //!
 //! The crate is deliberately independent of `netstack` (which depends on
-//! it): the checker consumes an owned event vocabulary, so it can also be
+//! it): the checker consumes plain `tracelog` records, so it can also be
 //! driven directly by unit tests — including intentionally-buggy streams
 //! proving the checker fails when it should.
 //!
@@ -38,6 +40,6 @@ mod checker;
 pub mod mc;
 mod scenario;
 
-pub use checker::{CheckEvent, CheckerLimits, InvariantChecker, LedgerSummary, Violation};
+pub use checker::{CheckerLimits, InvariantChecker, LedgerSummary, Violation};
 pub use mc::{BranchOutcome, BranchRecord, CounterExample, McConfig, McVerdict};
 pub use scenario::{FaultEvent, ScenarioScript, TimedFault};

@@ -4,7 +4,7 @@
 use sim_core::{DetMap, DetSet, RunPerf, TraceHash};
 
 use aodv::{Aodv, AodvOutput, AodvTimer};
-use faultline::{CheckEvent, FaultEvent, InvariantChecker, ScenarioScript, TimedFault};
+use faultline::{FaultEvent, InvariantChecker, ScenarioScript, TimedFault};
 use mac80211::{Mac, MacOutput, MediumView};
 use muzha::{MuzhaSender, RouterAgent};
 use phy::{Channel, GeState, GilbertElliott, PhyState, Position, RxOutcome, TxId};
@@ -16,8 +16,7 @@ use tcp::{
 use topo::{MobilitySpec, WaypointLeg};
 use tracelog::{PacketKind, TraceLog, TraceRecord};
 use wire::{
-    AodvMessage, FlowId, FrameKind, MacFrame, NodeId, Packet, Payload, TcpSegment, TcpSegmentKind,
-    UidGen,
+    FlowId, FrameKind, MacFrame, NodeId, Packet, Payload, TcpSegment, TcpSegmentKind, UidGen,
 };
 
 use crate::config::QueueDiscipline;
@@ -173,8 +172,8 @@ enum NodeStatus {
 struct SenderEndpoint {
     dst: NodeId,
     transport: Box<dyn Transport>,
-    /// Samples of `transport.cwnd_trace()` already mirrored into the trace
-    /// log as [`TraceRecord::TcpCwnd`] records.
+    /// Samples of `transport.cwnd_trace()` already observed as
+    /// [`TraceRecord::TcpCwnd`] records.
     traced_cwnd: usize,
 }
 
@@ -288,12 +287,9 @@ pub struct Simulator {
     flows: Vec<FlowSpec>,
     movements: DetMap<NodeId, Movement>,
     trace_hash: TraceHash,
-    /// Structured trace log fed from the same choke points as the checker
-    /// and the trace hash. A pure observer: `None` costs one branch per
-    /// choke point and recording never changes simulation behaviour.
-    log: Option<TraceLog>,
-    /// Runtime invariant checker fed from the cross-layer event stream.
-    checker: Option<InvariantChecker>,
+    /// The trace log and the invariant checker, both fed the one record
+    /// stream from the choke points.
+    observers: Observers,
     /// Tie-order hook for the model-checking explorer: when installed,
     /// same-instant ties inside its window are broken by its decision
     /// vector instead of FIFO. `None` costs one branch per pop.
@@ -316,6 +312,43 @@ pub struct Simulator {
     scripted_down: DetSet<(NodeId, NodeId)>,
     /// Deterministic work counters for this run (virtual events only).
     perf: RunPerf,
+}
+
+/// The simulator's observers, both fed the one record stream from its
+/// choke points. Pure: neither feeds anything back into the run, so a run
+/// dispatches the same events with or without them.
+#[derive(Default)]
+struct Observers {
+    /// Structured trace log or flight recorder.
+    log: Option<TraceLog>,
+    /// Runtime invariant checker. It sees every record, whatever the log's
+    /// filter admits.
+    checker: Option<InvariantChecker>,
+}
+
+impl Observers {
+    /// Records into the log first, then feeds the checker, so a
+    /// flight-recorder dump ends at the record that tripped an invariant.
+    fn observe_at(&mut self, at: SimTime, record: TraceRecord) {
+        if let Some(log) = &mut self.log {
+            log.record(at, record);
+        }
+        self.check(at, &record);
+    }
+
+    /// Feeds the checker alone. A flight-recorder log dumps its window the
+    /// moment an invariant trips, capturing the lead-up to the failure.
+    fn check(&mut self, at: SimTime, record: &TraceRecord) {
+        let Some(checker) = &mut self.checker else { return };
+        let before = checker.violations().len();
+        checker.on_record(at, record);
+        if checker.violations().len() > before {
+            if let Some(log) = self.log.as_mut().filter(|log| log.is_flight_recorder()) {
+                let reason = checker.violations().last().map(ToString::to_string);
+                log.dump(at, reason.as_deref().unwrap_or("?"));
+            }
+        }
+    }
 }
 
 /// An active movement: the node heads toward `target` at `speed_mps`; when
@@ -447,8 +480,7 @@ impl Simulator {
             flows: Vec::new(),
             movements: DetMap::new(),
             trace_hash: TraceHash::new(),
-            log: None,
-            checker: None,
+            observers: Observers::default(),
             tie_order: None,
             scripted_faults: Vec::new(),
             node_status: vec![NodeStatus::Up; node_count],
@@ -558,10 +590,11 @@ impl Simulator {
         }
     }
 
-    /// Installs a runtime invariant checker fed from this simulator's
-    /// cross-layer event stream. Replaces any previous checker.
+    /// Installs a runtime invariant checker fed every trace record from
+    /// this simulator's choke points, whatever an installed log's filter
+    /// admits. Replaces any previous checker.
     pub fn install_checker(&mut self, checker: InvariantChecker) {
-        self.checker = Some(checker);
+        self.observers.checker = Some(checker);
     }
 
     /// Installs a tie-order hook: same-instant scheduler ties inside the
@@ -588,31 +621,36 @@ impl Simulator {
     /// a log installed dispatch byte-identical event streams. Replaces any
     /// previously installed log.
     pub fn install_trace_log(&mut self, log: TraceLog) {
-        self.log = Some(log);
+        self.observers.log = Some(log);
     }
 
     /// Removes and returns the trace log, if one is installed.
     pub fn take_trace_log(&mut self) -> Option<TraceLog> {
-        self.log.take()
+        self.observers.log.take()
     }
 
     /// A borrow of the installed trace log, if any.
     pub fn trace_log(&self) -> Option<&TraceLog> {
-        self.log.as_ref()
+        self.observers.log.as_ref()
     }
 
-    /// Records one trace observation at the current virtual time.
+    /// Whether a trace log or a checker is installed: the one guard in
+    /// front of building a record that costs more than a copy.
     #[inline]
-    fn rec(&mut self, record: TraceRecord) {
-        if let Some(log) = &mut self.log {
-            log.record(self.now, record);
-        }
+    fn observing(&self) -> bool {
+        self.observers.log.is_some() || self.observers.checker.is_some()
+    }
+
+    /// Observes one record at the current virtual time.
+    #[inline]
+    fn observe(&mut self, record: TraceRecord) {
+        self.observers.observe_at(self.now, record);
     }
 
     /// Removes the checker, sealing it with [`InvariantChecker::finish`] at
     /// the current virtual time, and returns it for inspection.
     pub fn take_checker(&mut self) -> Option<InvariantChecker> {
-        let mut checker = self.checker.take()?;
+        let mut checker = self.observers.checker.take()?;
         checker.finish(self.now);
         Some(checker)
     }
@@ -622,30 +660,12 @@ impl Simulator {
     /// part of the snapshot, so a resumed run re-installs the clone to carry
     /// the checker's ledger across the restore boundary.
     pub fn checker(&self) -> Option<&InvariantChecker> {
-        self.checker.as_ref()
+        self.observers.checker.as_ref()
     }
 
     /// A node's AODV counters (discoveries, RREQ/RREP/RERR sent, drops).
     pub fn aodv_stats(&self, node: NodeId) -> aodv::AodvStats {
         self.nodes[node.index()].aodv.stats()
-    }
-
-    #[inline]
-    fn emit(&mut self, event: CheckEvent) {
-        let Some(checker) = &mut self.checker else { return };
-        let before = checker.violations().len();
-        checker.on_event(self.now, &event);
-        let violations = checker.violations();
-        if violations.len() > before {
-            // A flight-recorder log dumps its window the moment an
-            // invariant trips, capturing the lead-up to the failure.
-            let reason = violations.last().map(|v| v.to_string());
-            if let Some(log) = &mut self.log {
-                if log.is_flight_recorder() {
-                    log.dump(self.now, reason.as_deref().unwrap_or("?"));
-                }
-            }
-        }
     }
 
     /// Filters an event through the scenario's node liveness: events owned
@@ -676,7 +696,7 @@ impl Simulator {
                 // The physical node keeps moving even while crashed.
                 Event::MobilityTick { .. } => Some(event),
                 Event::JitteredEnqueue { packet, .. } => {
-                    self.emit(CheckEvent::FaultDrop { node, uid: packet.uid });
+                    self.observe(TraceRecord::FaultDrop { node, uid: packet.uid });
                     None
                 }
                 _ => None,
@@ -705,14 +725,12 @@ impl Simulator {
                 if self.node_status[node.index()] == NodeStatus::Up {
                     self.node_status[node.index()] = NodeStatus::Paused;
                     self.channel.set_node_enabled(node, false);
-                    self.emit(CheckEvent::NodeDown { node });
                 }
             }
             FaultEvent::Resume { node } => {
                 if self.node_status[node.index()] == NodeStatus::Paused {
                     self.node_status[node.index()] = NodeStatus::Up;
                     self.channel.set_node_enabled(node, true);
-                    self.emit(CheckEvent::NodeUp { node });
                     let backlog = std::mem::take(&mut self.deferred[node.index()]);
                     let now = self.now;
                     for deferred in backlog {
@@ -756,19 +774,19 @@ impl Simulator {
         }
     }
 
-    /// Blocks or releases one scripted link, keeping the channel, the
-    /// bookkeeping set and the checker in sync. No-op if the link already
-    /// is in the requested state.
+    /// Blocks or releases one scripted link, keeping the channel and the
+    /// bookkeeping set in sync, and observes the change. No-op if the link
+    /// already is in the requested state.
     fn script_link(&mut self, a: NodeId, b: NodeId, up: bool) {
         let key = if a <= b { (a, b) } else { (b, a) };
         if up {
             if self.scripted_down.remove(&key) {
                 self.channel.set_link_blocked(a, b, false);
-                self.emit(CheckEvent::ScriptedLinkUp { a, b });
+                self.observe(TraceRecord::LinkUp { a, b });
             }
         } else if self.scripted_down.insert(key) {
             self.channel.set_link_blocked(a, b, true);
-            self.emit(CheckEvent::ScriptedLinkDown { a, b });
+            self.observe(TraceRecord::LinkDown { a, b });
         }
     }
 
@@ -803,9 +821,8 @@ impl Simulator {
             }
         }
         for uid in orphans {
-            self.emit(CheckEvent::FaultDrop { node, uid });
+            self.observe(TraceRecord::FaultDrop { node, uid });
         }
-        self.emit(CheckEvent::NodeDown { node });
     }
 
     /// Powers a killed node back up with empty routing state.
@@ -815,7 +832,6 @@ impl Simulator {
         }
         self.node_status[node.index()] = NodeStatus::Up;
         self.channel.set_node_enabled(node, true);
-        self.emit(CheckEvent::NodeUp { node });
         if self.cfg.aodv.hello_interval.is_some() {
             let now = self.now;
             let outs = self.nodes[node.index()].aodv.start_hello(now);
@@ -959,9 +975,7 @@ impl Simulator {
         let churn = self.channel.set_position(node, position);
         self.perf.position_updates += 1;
         self.perf.link_churn += churn as u64;
-        if self.log.is_some() {
-            self.rec(TraceRecord::PhyMove { node, x: position.x, y: position.y });
-        }
+        self.observe(TraceRecord::PhyMove { node, x: position.x, y: position.y });
     }
 
     /// Starts moving `node` in a straight line toward `target` at
@@ -1149,17 +1163,17 @@ impl Simulator {
             Event::RxEnd { node, tx_id, frame, in_rx_range } => {
                 let now = self.now;
                 let outcome = self.nodes[node.index()].phy.on_rx_end(tx_id, now);
-                if self.log.is_some() {
+                if self.observing() {
                     let uid = frame.packet().map(|p| p.uid);
                     match outcome {
-                        RxOutcome::Decoded => self.rec(TraceRecord::PhyRx {
+                        RxOutcome::Decoded => self.observe(TraceRecord::PhyRx {
                             node,
                             from: frame.src,
                             frame: frame.kind(),
                             bytes: frame.size_bytes(),
                             uid,
                         }),
-                        RxOutcome::CollisionLost => self.rec(TraceRecord::PhyCollision {
+                        RxOutcome::CollisionLost => self.observe(TraceRecord::PhyCollision {
                             node,
                             from: frame.src,
                             frame: frame.kind(),
@@ -1169,7 +1183,7 @@ impl Simulator {
                         // model corrupted it; out-of-range carrier sense is
                         // not a loss and stays untraced.
                         RxOutcome::NotDecodable if in_rx_range => {
-                            self.rec(TraceRecord::PhyLoss {
+                            self.observe(TraceRecord::PhyLoss {
                                 node,
                                 from: frame.src,
                                 frame: frame.kind(),
@@ -1287,16 +1301,14 @@ impl Simulator {
                 };
                 if let Some(segment) = ack {
                     let uid = self.nodes[node.index()].uid.next();
-                    if self.log.is_some() {
-                        if let TcpSegmentKind::Ack { ack, mrai, .. } = &segment.kind {
-                            self.rec(TraceRecord::TcpAckTx {
-                                node,
-                                flow,
-                                ack: *ack,
-                                uid,
-                                mrai: *mrai,
-                            });
-                        }
+                    if let TcpSegmentKind::Ack { ack, mrai, .. } = &segment.kind {
+                        self.observe(TraceRecord::TcpAckTx {
+                            node,
+                            flow,
+                            ack: *ack,
+                            uid,
+                            mrai: *mrai,
+                        });
                     }
                     let packet = ack_packet(uid, node, src, segment);
                     self.route_local(node, packet);
@@ -1352,8 +1364,8 @@ impl Simulator {
                 }
                 MacOutput::Deliver { packet, from } => {
                     let now = self.now;
-                    if self.log.is_some() {
-                        self.rec(TraceRecord::RtrRecv {
+                    if self.observing() {
+                        self.observe(TraceRecord::RtrRecv {
                             node,
                             kind: PacketKind::of(&packet),
                             uid: packet.uid,
@@ -1370,13 +1382,12 @@ impl Simulator {
                 }
                 MacOutput::TxFailed { packet, next_hop } => {
                     let now = self.now;
-                    self.emit(CheckEvent::LinkFailure { node, next_hop });
-                    self.rec(TraceRecord::MacRetryDrop { node, next_hop, uid: packet.uid });
+                    self.observe(TraceRecord::MacRetryDrop { node, next_hop, uid: packet.uid });
                     let outs = self.nodes[node.index()].aodv.on_link_failure(packet, next_hop, now);
                     self.process_aodv_outputs(node, outs);
                 }
                 MacOutput::Backoff { slots, cw } => {
-                    self.rec(TraceRecord::MacBackoff { node, slots, cw });
+                    self.observe(TraceRecord::MacBackoff { node, slots, cw });
                 }
                 MacOutput::ReadyForNext => self.try_feed_mac(node),
             }
@@ -1391,19 +1402,25 @@ impl Simulator {
         for output in outputs {
             match output {
                 AodvOutput::Forward { packet, next_hop } => {
-                    if self.checker.is_some() {
-                        self.note_forward(node, &packet, next_hop);
-                    }
-                    if self.log.is_some() {
-                        self.rec(TraceRecord::RtrForward {
+                    if self.observing() {
+                        let kind = PacketKind::of(&packet);
+                        let route_valid_until = if kind == PacketKind::TcpData
+                            && !next_hop.is_broadcast()
+                        {
+                            self.nodes[node.index()].aodv.route_valid_until(packet.dst, self.now)
+                        } else {
+                            None
+                        };
+                        self.observe(TraceRecord::RtrForward {
                             node,
                             next_hop,
-                            kind: PacketKind::of(&packet),
+                            kind,
                             uid: packet.uid,
                             flow: packet.tcp().map(|s| s.flow),
                             bytes: packet.size_bytes(),
                             ttl: packet.ttl,
                             origin: packet.src == node,
+                            route_valid_until,
                         });
                     }
                     if next_hop.is_broadcast() {
@@ -1427,19 +1444,15 @@ impl Simulator {
                 }
                 AodvOutput::Dropped { packet, .. } => {
                     self.nodes[node.index()].routing_drops += 1;
-                    let uid = packet.uid;
-                    if self.log.is_some() {
-                        self.rec(TraceRecord::RtrDrop {
-                            node,
-                            kind: PacketKind::of(&packet),
-                            uid,
-                            flow: packet.tcp().map(|s| s.flow),
-                        });
-                    }
-                    self.emit(CheckEvent::RoutingDrop { node, uid });
+                    self.observe(TraceRecord::RtrDrop {
+                        node,
+                        kind: PacketKind::of(&packet),
+                        uid: packet.uid,
+                        flow: packet.tcp().map(|s| s.flow),
+                    });
                 }
                 AodvOutput::RouteChange { dst, next_hop, hop_count, valid } => {
-                    self.rec(TraceRecord::RtrRouteChange {
+                    self.observe(TraceRecord::RtrRouteChange {
                         node,
                         dst,
                         next_hop,
@@ -1451,34 +1464,16 @@ impl Simulator {
         }
     }
 
-    /// Translates an AODV forward into checker vocabulary: data forwards
-    /// carry the expiry of the route entry backing them, and an outgoing
-    /// route-error message is reported as such.
-    fn note_forward(&mut self, node: NodeId, packet: &Packet, next_hop: NodeId) {
-        if let Payload::Aodv(AodvMessage::Rerr(_)) = &packet.payload {
-            self.emit(CheckEvent::RerrSent { node });
-        }
-        let is_data = packet.tcp().is_some_and(|s| s.is_data());
-        let route_valid_until = if is_data && !next_hop.is_broadcast() {
-            self.nodes[node.index()].aodv.route_valid_until(packet.dst, self.now)
-        } else {
-            None
-        };
-        let uid = packet.uid;
-        self.emit(CheckEvent::Forwarded { node, next_hop, uid, is_data, route_valid_until });
-    }
-
     fn process_tcp_outputs(&mut self, node: NodeId, flow: FlowId, outputs: Vec<TcpOutput>) {
         for output in outputs {
             match output {
                 TcpOutput::SendSegment(segment) => {
-                    let is_data = segment.is_data();
                     let (dst, uid) = {
                         let n = &mut self.nodes[node.index()];
                         let dst = n.senders.get(&flow).map(|ep| ep.dst).expect("unknown flow");
                         (dst, n.uid.next())
                     };
-                    if self.log.is_some() {
+                    if self.observing() {
                         let record = match &segment.kind {
                             TcpSegmentKind::Data { seq, retransmit, .. } => TraceRecord::TcpSend {
                                 node,
@@ -1492,12 +1487,9 @@ impl Simulator {
                                 TraceRecord::TcpAckTx { node, flow, ack: *ack, uid, mrai: *mrai }
                             }
                         };
-                        self.rec(record);
+                        self.observe(record);
                     }
                     let packet = Packet::new(uid, node, dst, Payload::Tcp(segment));
-                    if is_data {
-                        self.emit(CheckEvent::Injected { node, flow, uid });
-                    }
                     self.route_local(node, packet);
                 }
                 TcpOutput::SetTimer { id, at } => {
@@ -1505,45 +1497,33 @@ impl Simulator {
                 }
             }
         }
-        if self.checker.is_some() {
-            let snapshot = self.nodes[node.index()]
-                .senders
-                .get(&flow)
-                .map(|ep| (ep.transport.name(), ep.transport.cwnd(), ep.transport.ssthresh()));
-            if let Some((variant, cwnd, ssthresh)) = snapshot {
-                self.emit(CheckEvent::CwndUpdate { node, flow, variant, cwnd, ssthresh });
-            }
-        }
-        if self.log.is_some() {
-            self.sync_cwnd_trace(node, flow);
-        }
+        self.audit_cwnd(node, flow);
     }
 
-    /// Mirrors any congestion-window samples the sender appended during the
-    /// last transport call into the trace log, one [`TraceRecord::TcpCwnd`]
-    /// per sample at the sample's own virtual time. The companion state
-    /// (ssthresh, srtt, rto, phase) is the sender's current value — exact
-    /// for the common case of one sample per call.
-    fn sync_cwnd_trace(&mut self, node: NodeId, flow: FlowId) {
-        let Some(ep) = self.nodes[node.index()].senders.get_mut(&flow) else { return };
-        let samples = ep.transport.cwnd_trace().samples();
-        if ep.traced_cwnd >= samples.len() {
+    /// The end-of-call congestion audit. It observes the samples the sender
+    /// appended to its cwnd trace during the last transport call, one
+    /// [`TraceRecord::TcpCwnd`] per sample at the sample's own virtual
+    /// time, so the log mirrors the trace exactly. It then hands the
+    /// checker alone one more `TcpCwnd` carrying the sender's current
+    /// state: logging that one would add a line per transport call. The
+    /// companion state (ssthresh, srtt, rto, phase) is the sender's current
+    /// value — exact for the common case of one sample per call.
+    fn audit_cwnd(&mut self, node: NodeId, flow: FlowId) {
+        if !self.observing() {
             return;
         }
-        let fresh: Vec<(SimTime, f64)> = samples[ep.traced_cwnd..].to_vec();
-        ep.traced_cwnd = samples.len();
-        let ssthresh = ep.transport.ssthresh();
-        let srtt = ep.transport.srtt();
-        let rto = ep.transport.rto();
-        let phase = ep.transport.phase();
-        if let Some(log) = &mut self.log {
-            for (at, cwnd) in fresh {
-                log.record(
-                    at,
-                    TraceRecord::TcpCwnd { node, flow, cwnd, ssthresh, srtt, rto, phase },
-                );
-            }
+        let now = self.now;
+        let Some(ep) = self.nodes[node.index()].senders.get_mut(&flow) else { return };
+        let sender = &ep.transport;
+        let (ssthresh, srtt, rto, phase) =
+            (sender.ssthresh(), sender.srtt(), sender.rto(), sender.phase());
+        let state = |cwnd| TraceRecord::TcpCwnd { node, flow, cwnd, ssthresh, srtt, rto, phase };
+        let samples = sender.cwnd_trace().samples();
+        for &(at, cwnd) in samples.get(ep.traced_cwnd..).unwrap_or_default() {
+            self.observers.observe_at(at, state(cwnd));
         }
+        ep.traced_cwnd = ep.traced_cwnd.max(samples.len());
+        self.observers.check(now, &state(sender.cwnd()));
     }
 
     /// Routes a locally-originated packet through AODV.
@@ -1560,8 +1540,7 @@ impl Simulator {
         if self.blackholes.contains(&node) {
             // A scripted blackhole eats the packet with no feedback at all;
             // the checker accounts it as a fault drop, not congestion.
-            let uid = packet.uid;
-            self.emit(CheckEvent::FaultDrop { node, uid });
+            self.observe(TraceRecord::FaultDrop { node, uid: packet.uid });
             return;
         }
         if let Some(cap) = self.saturated.get(&node).copied() {
@@ -1569,8 +1548,7 @@ impl Simulator {
                 let uid = packet.uid;
                 let flow = packet.tcp().map(|s| s.flow);
                 self.nodes[node.index()].router.drai_mut().note_congestion_drop(now);
-                self.rec(TraceRecord::IfqDrop { node, uid, flow, early: false });
-                self.emit(CheckEvent::QueueDrop { node, uid });
+                self.observe(TraceRecord::IfqDrop { node, uid, flow, early: false });
                 self.try_feed_mac(node);
                 return;
             }
@@ -1596,8 +1574,8 @@ impl Simulator {
         self.perf.peak_ifq_depth = self.perf.peak_ifq_depth.max(depth);
         match outcome {
             IfqPush::Stored { marked: red_marked } => {
-                if self.log.is_some() {
-                    self.rec(TraceRecord::IfqEnqueue {
+                if self.observing() {
+                    self.observe(TraceRecord::IfqEnqueue {
                         node,
                         uid,
                         flow,
@@ -1606,7 +1584,7 @@ impl Simulator {
                         marked: marked || red_marked,
                     });
                     if red_marked {
-                        self.rec(TraceRecord::IfqMark { node, uid, flow });
+                        self.observe(TraceRecord::IfqMark { node, uid, flow });
                     }
                 }
             }
@@ -1615,8 +1593,7 @@ impl Simulator {
                 // eviction), so trace its own identity.
                 let uid = shed.uid;
                 let flow = shed.tcp().map(|s| s.flow);
-                self.rec(TraceRecord::IfqDrop { node, uid, flow, early });
-                self.emit(CheckEvent::QueueDrop { node, uid });
+                self.observe(TraceRecord::IfqDrop { node, uid, flow, early });
             }
         }
         self.try_feed_mac(node);
@@ -1643,19 +1620,18 @@ impl Simulator {
     /// every node in carrier-sense range, and the sender's TxDone.
     fn transmit(&mut self, sender: NodeId, frame: MacFrame, airtime: sim_core::SimDuration) {
         let now = self.now;
-        if self.log.is_some() {
-            self.rec(TraceRecord::PhyTx {
+        if self.observing() {
+            let mac = &self.nodes[sender.index()].mac;
+            self.observe(TraceRecord::PhyTx {
                 node: sender,
                 dst: frame.dst,
                 frame: frame.kind(),
                 bytes: frame.size_bytes(),
                 uid: frame.packet().map(|p| p.uid),
+                airtime,
+                cw: mac.current_cw(),
+                nav_ahead: mac.nav_ahead(now),
             });
-        }
-        if self.checker.is_some() {
-            let cw = self.nodes[sender.index()].mac.current_cw();
-            let nav_ahead = self.nodes[sender.index()].mac.nav_ahead(now);
-            self.emit(CheckEvent::FrameSent { node: sender, airtime, cw, nav_ahead });
         }
         let end = now + airtime;
         self.nodes[sender.index()].phy.begin_transmit(now, end);
@@ -1729,24 +1705,7 @@ impl Simulator {
         let uid = packet.uid;
         let Some(segment) = packet.tcp() else { return };
         let flow = segment.flow;
-        let is_data = segment.is_data();
-        if self.log.is_some() {
-            let record = match &segment.kind {
-                TcpSegmentKind::Data { seq, avbw, marked, .. } => TraceRecord::TcpRecvData {
-                    node,
-                    flow,
-                    seq: *seq,
-                    uid,
-                    avbw: *avbw,
-                    marked: *marked,
-                },
-                TcpSegmentKind::Ack { ack, mrai, .. } => {
-                    TraceRecord::TcpRecvAck { node, flow, ack: *ack, uid, mrai: *mrai }
-                }
-            };
-            self.rec(record);
-        }
-        if is_data {
+        if let TcpSegmentKind::Data { seq, avbw, marked, .. } = segment.kind {
             let delayed = self.flows[flow.index()].delayed_ack;
             let (ack_segment, timer, rcv_nxt_after) = {
                 let n = &mut self.nodes[node.index()];
@@ -1760,34 +1719,30 @@ impl Simulator {
                     (Some(ack), None, nxt)
                 }
             };
-            self.emit(CheckEvent::Delivered { node, flow, uid, is_data: true, rcv_nxt_after });
+            // Recorded after the receiver absorbed the segment, so it can
+            // carry `rcv_nxt_after`; nothing is observed in between.
+            self.observe(TraceRecord::TcpRecvData {
+                node,
+                flow,
+                seq,
+                uid,
+                avbw,
+                marked,
+                rcv_nxt_after,
+            });
             if let Some((id, at)) = timer {
                 self.events.push(at, Event::DelAckTimer { node, flow, id });
             }
             if let Some(segment) = ack_segment {
                 let uid = self.nodes[node.index()].uid.next();
-                if self.log.is_some() {
-                    if let TcpSegmentKind::Ack { ack, mrai, .. } = &segment.kind {
-                        self.rec(TraceRecord::TcpAckTx { node, flow, ack: *ack, uid, mrai: *mrai });
-                    }
+                if let TcpSegmentKind::Ack { ack, mrai, .. } = &segment.kind {
+                    self.observe(TraceRecord::TcpAckTx { node, flow, ack: *ack, uid, mrai: *mrai });
                 }
                 let ack = ack_packet(uid, node, packet.src, segment);
                 self.route_local(node, ack);
             }
-        } else {
-            if self.checker.is_some() {
-                let echoed = match &segment.kind {
-                    TcpSegmentKind::Ack { ack, .. } => *ack,
-                    TcpSegmentKind::Data { .. } => 0,
-                };
-                self.emit(CheckEvent::Delivered {
-                    node,
-                    flow,
-                    uid,
-                    is_data: false,
-                    rcv_nxt_after: echoed,
-                });
-            }
+        } else if let TcpSegmentKind::Ack { ack, mrai, .. } = segment.kind {
+            self.observe(TraceRecord::TcpRecvAck { node, flow, ack, uid, mrai });
             let outputs = {
                 let n = &mut self.nodes[node.index()];
                 match n.senders.get_mut(&flow) {

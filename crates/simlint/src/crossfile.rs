@@ -19,7 +19,10 @@
 //!   through the `layer`/`node`/`flow`/`uid`/`direction` accessors, so
 //!   those accessors (and `ns2::line`) must stay wildcard-free, and
 //!   `Layer::ALL` must name every `Layer` variant — that is what keeps the
-//!   accessor-generic sinks total.
+//!   accessor-generic sinks total. The invariant checker
+//!   (`faultline::InvariantChecker::on_record`) reads the same records, so
+//!   this rule also guarantees that every checker input is produced by a
+//!   choke point and rendered in a violation's trail, with no extra check.
 //!
 //! Both families parse enum bodies and fn-body spans out of the token
 //! streams; they are anchored to the files named below and quietly skip a

@@ -207,8 +207,13 @@ impl SendState {
     }
 
     /// Records the congestion window for the trace (skips no-op changes).
+    /// A window turning NaN, or recovering from NaN, always counts as a
+    /// change: the float distance to or from NaN never exceeds epsilon.
     pub fn trace_cwnd(&mut self, now: SimTime, cwnd: f64) {
-        if (cwnd - self.last_traced_cwnd).abs() > f64::EPSILON || self.cwnd_trace.is_empty() {
+        if (cwnd - self.last_traced_cwnd).abs() > f64::EPSILON
+            || cwnd.is_nan() != self.last_traced_cwnd.is_nan()
+            || self.cwnd_trace.is_empty()
+        {
             self.cwnd_trace.record(now, cwnd);
             self.last_traced_cwnd = cwnd;
         }
@@ -383,6 +388,20 @@ mod tests {
         s.trace_cwnd(t(1), 1.0);
         s.trace_cwnd(t(2), 2.0);
         assert_eq!(s.cwnd_trace().len(), 2);
+    }
+
+    #[test]
+    fn cwnd_trace_records_a_window_turning_nan() {
+        let mut s = st();
+        s.trace_cwnd(t(0), 2.0);
+        s.trace_cwnd(t(1), f64::NAN);
+        assert_eq!(s.cwnd_trace().len(), 2, "NaN after 2.0 is a new sample");
+        s.trace_cwnd(t(2), f64::NAN);
+        assert_eq!(s.cwnd_trace().len(), 2, "a second NaN is no change");
+        s.trace_cwnd(t(3), 2.0);
+        s.trace_cwnd(t(4), 2.0 + f64::EPSILON / 2.0);
+        assert_eq!(s.cwnd_trace().len(), 3, "recovery records, finite dedup unchanged");
+        assert!(s.cwnd_trace().samples()[1].1.is_nan());
     }
 }
 

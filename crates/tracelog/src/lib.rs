@@ -4,8 +4,10 @@
 //! crate lets it *record* the stream as typed, timestamped [`TraceRecord`]s
 //! covering every layer — PHY frames/collisions/losses, MAC backoffs and
 //! retry drops, AODV receives/forwards/route changes, interface-queue
-//! enqueues/marks/drops (including the Muzha AVBW-S stamp), and TCP
-//! send/receive/congestion-state events.
+//! enqueues/marks/drops (including the Muzha AVBW-S stamp), TCP
+//! send/receive/congestion-state events, fault-injection drops and scripted
+//! link changes. The same records are the only input of `faultline`'s
+//! invariant checker: the simulator logs each one, then checks it.
 //!
 //! Design rules:
 //!

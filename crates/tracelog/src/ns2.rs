@@ -10,7 +10,9 @@
 //! with `op` one of `s`end / `r`eceive / `d`rop / `f`orward. We keep that
 //! shape so output is eyeball-comparable with the paper's substrate, and add
 //! `v` lines for pure state observations ns-2 had no equivalent for
-//! (backoff draws, route-table changes, queue occupancy, cwnd snapshots).
+//! (backoff draws, route-table changes, queue occupancy, cwnd snapshots,
+//! scripted link changes), and `d ... [FLT]` lines for packets destroyed by
+//! fault injection.
 //!
 //! All formatting is integer-based or fixed-precision — byte-identical
 //! across runs and platforms for identical records.
@@ -161,6 +163,15 @@ pub fn line(entry: &TraceEntry) -> String {
                 "0 cwnd 0 [{flow} cwnd {cwnd:.3} ssthresh {ss} srtt {srtt} rto {rto} {phase}]"
             );
         }
+        TraceRecord::FaultDrop { uid, .. } => {
+            let _ = write!(s, "{uid} fault 0 [FLT]");
+        }
+        TraceRecord::LinkDown { b, .. } => {
+            let _ = write!(s, "0 link 0 [-- {b} down]");
+        }
+        TraceRecord::LinkUp { b, .. } => {
+            let _ = write!(s, "0 link 0 [-- {b} up]");
+        }
     }
     s
 }
@@ -202,6 +213,9 @@ mod tests {
                 frame: FrameKind::Rts,
                 bytes: 20,
                 uid: None,
+                airtime: SimDuration::from_micros(352),
+                cw: 31,
+                nav_ahead: SimDuration::ZERO,
             },
         );
         assert_eq!(line(&e), "s 1.500000000 _n0_ MAC --- 0 RTS 20 [-> n1]");
@@ -266,6 +280,17 @@ mod tests {
             },
         );
         assert!(line(&red).ends_with("[RED]"));
+    }
+
+    #[test]
+    fn fault_and_link_lines_shape() {
+        let (a, b) = (NodeId::new(1), NodeId::new(2));
+        let fault = entry(3_000_000_000, TraceRecord::FaultDrop { node: a, uid: 17 });
+        assert_eq!(line(&fault), "d 3.000000000 _n1_ IFQ --- 17 fault 0 [FLT]");
+        let down = entry(4_000_000_000, TraceRecord::LinkDown { a, b });
+        assert_eq!(line(&down), "v 4.000000000 _n1_ MAC --- 0 link 0 [-- n2 down]");
+        let up = entry(5_000_000_000, TraceRecord::LinkUp { a, b });
+        assert_eq!(line(&up), "v 5.000000000 _n1_ MAC --- 0 link 0 [-- n2 up]");
     }
 
     #[test]

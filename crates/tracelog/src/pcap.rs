@@ -94,7 +94,7 @@ fn read_u8(bytes: &[u8], off: usize) -> Result<u8, String> {
     bytes.get(off).copied().ok_or_else(|| format!("truncated at byte {off}"))
 }
 
-/// Parses a capture previously produced by [`write`], validating the
+/// Parses a capture previously produced by [`write()`], validating the
 /// structure (magic, lengths, pseudo-headers). Used by the self-parse test
 /// and the `trace` CLI's round-trip check.
 pub fn parse(bytes: &[u8]) -> Result<PcapFile, String> {

@@ -182,6 +182,12 @@ pub enum TraceRecord {
         bytes: u32,
         /// Uid of the carried packet (data frames only).
         uid: Option<u64>,
+        /// Time the frame occupies the medium.
+        airtime: SimDuration,
+        /// The sender's contention window when the frame left.
+        cw: u32,
+        /// How far beyond the send time the sender's NAV reaches.
+        nav_ahead: SimDuration,
     },
     /// A frame decoded successfully at `node`.
     PhyRx {
@@ -276,6 +282,10 @@ pub enum TraceRecord {
         ttl: u8,
         /// Whether `node` originated the packet (ns-2 `s` vs `f`).
         origin: bool,
+        /// For unicast TCP data: expiry of the route entry backing the
+        /// forward, read at forward time (`None`: no valid route). Always
+        /// `None` for control traffic and broadcasts.
+        route_valid_until: Option<SimTime>,
     },
     /// The routing layer dropped a packet (no route, TTL expiry, …).
     RtrDrop {
@@ -367,6 +377,9 @@ pub enum TraceRecord {
         avbw: Option<Drai>,
         /// Whether the segment was congestion-marked en route.
         marked: bool,
+        /// The receiver's next expected in-order sequence number after
+        /// absorbing the segment.
+        rcv_nxt_after: u64,
     },
     /// A receiver emitted an acknowledgement.
     TcpAckTx {
@@ -394,8 +407,11 @@ pub enum TraceRecord {
         /// Echoed MRAI, for Muzha flows.
         mrai: Option<Drai>,
     },
-    /// A congestion-state snapshot, recorded whenever the sender's window
-    /// changes (mirrors the transport's internal cwnd trace exactly).
+    /// A congestion-state snapshot. The log gets one per sample of the
+    /// transport's internal cwnd trace, at the sample's own time, so it
+    /// mirrors that trace exactly. The invariant checker also gets one
+    /// unlogged snapshot of the sender's current state after every
+    /// transport call.
     TcpCwnd {
         /// Sending node.
         node: NodeId,
@@ -413,6 +429,28 @@ pub enum TraceRecord {
         /// `congestion-avoidance`, `fast-recovery`, or variant-specific).
         phase: &'static str,
     },
+    /// Fault injection destroyed a packet in `node`'s custody (a killed
+    /// node's queues, an event owned by a dead node, a scripted blackhole).
+    FaultDrop {
+        /// Node whose custody was wiped.
+        node: NodeId,
+        /// Uid of the destroyed packet.
+        uid: u64,
+    },
+    /// The scenario forced the `a`—`b` link down.
+    LinkDown {
+        /// One endpoint (the node the record is attributed to).
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+    },
+    /// The scenario released the `a`—`b` link.
+    LinkUp {
+        /// One endpoint (the node the record is attributed to).
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+    },
 }
 
 impl TraceRecord {
@@ -423,7 +461,9 @@ impl TraceRecord {
             | TraceRecord::PhyRx { .. }
             | TraceRecord::PhyCollision { .. }
             | TraceRecord::PhyLoss { .. }
-            | TraceRecord::PhyMove { .. } => Layer::Phy,
+            | TraceRecord::PhyMove { .. }
+            | TraceRecord::LinkDown { .. }
+            | TraceRecord::LinkUp { .. } => Layer::Phy,
             TraceRecord::MacBackoff { .. } | TraceRecord::MacRetryDrop { .. } => Layer::Mac,
             TraceRecord::RtrRecv { .. }
             | TraceRecord::RtrForward { .. }
@@ -431,7 +471,8 @@ impl TraceRecord {
             | TraceRecord::RtrRouteChange { .. } => Layer::Rtr,
             TraceRecord::IfqEnqueue { .. }
             | TraceRecord::IfqMark { .. }
-            | TraceRecord::IfqDrop { .. } => Layer::Ifq,
+            | TraceRecord::IfqDrop { .. }
+            | TraceRecord::FaultDrop { .. } => Layer::Ifq,
             TraceRecord::TcpSend { .. }
             | TraceRecord::TcpRecvData { .. }
             | TraceRecord::TcpAckTx { .. }
@@ -461,7 +502,9 @@ impl TraceRecord {
             | TraceRecord::TcpRecvData { node, .. }
             | TraceRecord::TcpAckTx { node, .. }
             | TraceRecord::TcpRecvAck { node, .. }
-            | TraceRecord::TcpCwnd { node, .. } => node,
+            | TraceRecord::TcpCwnd { node, .. }
+            | TraceRecord::FaultDrop { node, .. } => node,
+            TraceRecord::LinkDown { a, .. } | TraceRecord::LinkUp { a, .. } => a,
         }
     }
 
@@ -486,7 +529,10 @@ impl TraceRecord {
             | TraceRecord::PhyMove { .. }
             | TraceRecord::MacBackoff { .. }
             | TraceRecord::MacRetryDrop { .. }
-            | TraceRecord::RtrRouteChange { .. } => None,
+            | TraceRecord::RtrRouteChange { .. }
+            | TraceRecord::FaultDrop { .. }
+            | TraceRecord::LinkDown { .. }
+            | TraceRecord::LinkUp { .. } => None,
         }
     }
 
@@ -507,11 +553,14 @@ impl TraceRecord {
             | TraceRecord::TcpSend { uid, .. }
             | TraceRecord::TcpRecvData { uid, .. }
             | TraceRecord::TcpAckTx { uid, .. }
-            | TraceRecord::TcpRecvAck { uid, .. } => Some(uid),
+            | TraceRecord::TcpRecvAck { uid, .. }
+            | TraceRecord::FaultDrop { uid, .. } => Some(uid),
             TraceRecord::PhyMove { .. }
             | TraceRecord::MacBackoff { .. }
             | TraceRecord::RtrRouteChange { .. }
-            | TraceRecord::TcpCwnd { .. } => None,
+            | TraceRecord::TcpCwnd { .. }
+            | TraceRecord::LinkDown { .. }
+            | TraceRecord::LinkUp { .. } => None,
         }
     }
 
@@ -529,7 +578,8 @@ impl TraceRecord {
             | TraceRecord::PhyLoss { .. }
             | TraceRecord::MacRetryDrop { .. }
             | TraceRecord::RtrDrop { .. }
-            | TraceRecord::IfqDrop { .. } => Direction::Drop,
+            | TraceRecord::IfqDrop { .. }
+            | TraceRecord::FaultDrop { .. } => Direction::Drop,
             TraceRecord::RtrForward { origin, .. } => {
                 if *origin {
                     Direction::Send
@@ -542,7 +592,9 @@ impl TraceRecord {
             | TraceRecord::RtrRouteChange { .. }
             | TraceRecord::IfqEnqueue { .. }
             | TraceRecord::IfqMark { .. }
-            | TraceRecord::TcpCwnd { .. } => Direction::Meta,
+            | TraceRecord::TcpCwnd { .. }
+            | TraceRecord::LinkDown { .. }
+            | TraceRecord::LinkUp { .. } => Direction::Meta,
         }
     }
 }
@@ -627,6 +679,25 @@ mod tests {
     }
 
     #[test]
+    fn fault_and_link_records_classify() {
+        let fault = TraceRecord::FaultDrop { node: NodeId::new(1), uid: 9 };
+        assert_eq!(fault.layer(), Layer::Ifq);
+        assert_eq!(fault.direction(), Direction::Drop);
+        assert_eq!(fault.uid(), Some(9));
+        assert_eq!(fault.flow(), None);
+        let down = TraceRecord::LinkDown { a: NodeId::new(3), b: NodeId::new(4) };
+        assert_eq!(down.layer(), Layer::Phy);
+        assert_eq!(down.direction(), Direction::Meta);
+        assert_eq!(down.node(), NodeId::new(3));
+        assert_eq!(down.uid(), None);
+        let up = TraceRecord::LinkUp { a: NodeId::new(3), b: NodeId::new(4) };
+        assert_eq!(
+            (up.layer(), up.direction(), up.node()),
+            (Layer::Phy, Direction::Meta, NodeId::new(3))
+        );
+    }
+
+    #[test]
     fn forward_direction_distinguishes_origin() {
         let mk = |origin| TraceRecord::RtrForward {
             node: NodeId::new(1),
@@ -637,6 +708,7 @@ mod tests {
             bytes: 1500,
             ttl: 62,
             origin,
+            route_valid_until: None,
         };
         assert_eq!(mk(true).direction(), Direction::Send);
         assert_eq!(mk(false).direction(), Direction::Forward);

@@ -1,15 +1,17 @@
 //! Tier-1 gate for the trace subsystem (`crates/tracelog`): captured
 //! streams must be byte-identical across twin runs and across batch worker
 //! counts, the pcap sink must self-parse, the rendered ns-2 stream must
-//! match a checked-in golden fixture, and the flight recorder must dump
-//! exactly its ring on an injected invariant violation.
+//! match a checked-in golden fixture, the flight recorder must dump
+//! exactly its ring on an injected invariant violation, and no observer
+//! setup may change a run or what the checker concludes.
 
 use tcp_muzha::experiments::cwnd_traces_batch;
-use tcp_muzha::faultline::{CheckerLimits, InvariantChecker, ScenarioScript};
+use tcp_muzha::faultline::{CheckerLimits, InvariantChecker, LedgerSummary, ScenarioScript};
+use tcp_muzha::mc::{corpus_duration, corpus_sim};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::{SimDuration, SimTime};
 use tcp_muzha::tracecap;
-use tcp_muzha::tracelog::{ns2, pcap, TraceEntry, TraceFilter, TraceLog};
+use tcp_muzha::tracelog::{ns2, pcap, Layer, TraceEntry, TraceFilter, TraceLog, TraceRecord};
 
 /// The same corpus `tests/scenario_corpus.rs` runs clean; here every
 /// script must also produce a byte-identical trace stream on a twin run.
@@ -168,4 +170,72 @@ fn flight_recorder_dump_is_the_tail_of_the_full_stream() {
     let dump_lines: Vec<String> = dump.entries.iter().map(ns2::line).collect();
     let found = full_lines.windows(CAP).any(|w| w == dump_lines.as_slice());
     assert!(found, "dump is not a contiguous window of the full trace stream");
+    // The log is fed before the checker, so the window ends at the cwnd
+    // sample that tripped the ceiling.
+    let last = dump.entries.last().map(|e| e.record);
+    assert!(matches!(last, Some(TraceRecord::TcpCwnd { .. })), "dump ends at {last:?}");
+}
+
+/// What one observer setup saw: the run's trace hash, the sealed checker's
+/// findings, and the log's ns-2 stream.
+struct Observed {
+    hash: u64,
+    checker: Option<(u64, LedgerSummary, Vec<String>)>,
+    stream: Option<String>,
+}
+
+fn observe_corpus_run(script: &ScenarioScript, checker: bool, log: Option<TraceLog>) -> Observed {
+    let mut sim = corpus_sim(script);
+    if checker {
+        sim.install_checker(InvariantChecker::new());
+    }
+    if let Some(log) = log {
+        sim.install_trace_log(log);
+    }
+    sim.run_until(SimTime::ZERO + corpus_duration(script));
+    let checker = sim.take_checker().map(|c| {
+        let violations = c.violations().iter().map(ToString::to_string).collect();
+        (c.events_seen(), c.ledger(), violations)
+    });
+    let stream = sim.take_trace_log().map(|log| ns2::render(log.iter()));
+    Observed { hash: sim.trace_hash(), checker, stream }
+}
+
+fn corpus_script(name: &str) -> ScenarioScript {
+    let (_, text) = CORPUS.iter().find(|(n, _)| *n == name).expect("corpus script");
+    ScenarioScript::parse(text).expect("corpus script parses")
+}
+
+#[test]
+fn observer_setups_agree_on_the_run_and_the_checker_ignores_the_log_filter() {
+    for name in ["relay-crash", "chain-break", "blackhole-window"] {
+        let script = corpus_script(name);
+        let agt_only = || TraceLog::with_filter(TraceFilter::all().layer(Layer::Agt));
+        let bare = observe_corpus_run(&script, false, None);
+        let checked = observe_corpus_run(&script, true, None);
+        let filtered = observe_corpus_run(&script, true, Some(agt_only()));
+        let full = observe_corpus_run(&script, true, Some(TraceLog::new()));
+        for other in [&checked, &filtered, &full] {
+            assert_eq!(bare.hash, other.hash, "{name}: an observer changed the run");
+        }
+        let verdict = checked.checker.as_ref().expect("checker installed");
+        assert_eq!(filtered.checker.as_ref(), Some(verdict), "{name}: the log filter leaked");
+        assert_eq!(full.checker.as_ref(), Some(verdict), "{name}: a full log changed the checker");
+        assert!(verdict.2.is_empty(), "{name}: {:?}", verdict.2);
+
+        let full_stream = full.stream.expect("log installed");
+        let filtered_stream = filtered.stream.expect("log installed");
+        let agt_lines: Vec<&str> = full_stream.lines().filter(|l| l.contains(" AGT ")).collect();
+        assert_eq!(filtered_stream.lines().collect::<Vec<_>>(), agt_lines, "{name}");
+        let count = |needle: &str| full_stream.lines().filter(|l| l.contains(needle)).count();
+        // Every fault-dropped data packet has its own FaultDrop line.
+        assert!(count(" [FLT]") as u64 >= verdict.1.fault_dropped, "{name}");
+        if name == "chain-break" {
+            assert_eq!(count(" link 0 [-- n3 down]"), 1, "{name}: one scripted link-down");
+            assert_eq!(count(" link 0 [-- n3 up]"), 1, "{name}: one scripted link-up");
+        }
+        if name == "blackhole-window" {
+            assert!(count(" [FLT]") > 0, "{name}: the blackhole ate nothing");
+        }
+    }
 }
